@@ -25,6 +25,8 @@
 #![warn(missing_docs)]
 
 mod bigint;
+#[cfg(test)]
+mod fast_path_props;
 mod rational;
 
 pub use bigint::{BigInt, ParseBigIntError};

@@ -1,5 +1,9 @@
 //! Property-based tests: BigInt/BigRational agree with i128 reference
 //! arithmetic and satisfy ring/field/order laws.
+//!
+//! Operands are log-uniform over their whole span: the bit width is drawn
+//! first, so small values (the inline `i64` form) and values far outside
+//! `i64` (the limb form) are both common.
 
 use yinyang_arith::{BigInt, BigRational};
 use yinyang_rt::prop::assume;
@@ -9,28 +13,38 @@ fn bi(v: i128) -> BigInt {
     BigInt::from(v)
 }
 
-fn tera(r: &mut StdRng) -> i128 {
-    r.random_range(-1_000_000_000_000i128..1_000_000_000_000)
+/// A value in `[-2^b, 2^b)` for a bit width `b` drawn from `0..=max_bits`.
+fn of_bits(r: &mut StdRng, max_bits: u32) -> i128 {
+    let b = r.random_range(0..=max_bits);
+    r.random_range(-(1i128 << b)..(1i128 << b))
 }
 
-fn giga(r: &mut StdRng) -> i128 {
-    r.random_range(-1_000_000_000i128..1_000_000_000)
+/// Anywhere in `i64`.
+fn word(r: &mut StdRng) -> i128 {
+    of_bits(r, 63)
 }
 
-fn mega(r: &mut StdRng) -> i128 {
-    r.random_range(-1_000_000i128..1_000_000)
+/// Anywhere in `i128` such that a sum of two cannot overflow.
+fn wide(r: &mut StdRng) -> i128 {
+    of_bits(r, 126)
+}
+
+/// A positive denominator anywhere in `i64`.
+fn den(r: &mut StdRng) -> i64 {
+    (of_bits(r, 63).unsigned_abs() as i64).max(1)
 }
 
 props! {
-    fn bigint_add_matches_i128(a in tera, b in tera) {
+    fn bigint_add_matches_i128(a in wide, b in wide) {
         assert_eq!(bi(a) + bi(b), bi(a + b));
+        assert_eq!(bi(a) - bi(b), bi(a - b));
     }
 
-    fn bigint_mul_matches_i128(a in giga, b in giga) {
+    fn bigint_mul_matches_i128(a in word, b in word) {
         assert_eq!(bi(a) * bi(b), bi(a * b));
     }
 
-    fn bigint_divrem_matches_i128(a in tera, b in mega) {
+    fn bigint_divrem_matches_i128(a in wide, b in wide) {
         assume(b != 0);
         let (q, r) = bi(a).div_rem(&bi(b));
         assert_eq!(q, bi(a / b));
@@ -39,10 +53,9 @@ props! {
         assert_eq!(bi(a).rem_euclid_big(&bi(b)), bi(a.rem_euclid(b)));
     }
 
-    fn bigint_euclid_invariant(a in |r: &mut StdRng| r.random_range(i64::MIN..=i64::MAX),
-                               b in |r: &mut StdRng| r.random_range(i64::MIN..=i64::MAX)) {
+    fn bigint_euclid_invariant(a in wide, b in wide) {
         assume(b != 0);
-        let (a, b) = (bi(a as i128), bi(b as i128));
+        let (a, b) = (bi(a), bi(b));
         let q = a.div_euclid_big(&b);
         let r = a.rem_euclid_big(&b);
         assert_eq!(&q * &b + &r, a);
@@ -57,14 +70,13 @@ props! {
         assert_eq!(s, a.to_string());
     }
 
-    fn bigint_mul_distributes(a in mega, b in mega, c in mega) {
+    fn bigint_mul_distributes(a in wide, b in wide, c in wide) {
         let (a, b, c) = (bi(a), bi(b), bi(c));
         assert_eq!(&a * &(&b + &c), &a * &b + &a * &c);
     }
 
-    fn bigint_gcd_divides(a in |r: &mut StdRng| r.random_range(i32::MIN..=i32::MAX),
-                          b in |r: &mut StdRng| r.random_range(i32::MIN..=i32::MAX)) {
-        let (a, b) = (bi(a as i128), bi(b as i128));
+    fn bigint_gcd_divides(a in wide, b in wide) {
+        let (a, b) = (bi(a), bi(b));
         let g = a.gcd(&b);
         if !g.is_zero() {
             assert!(a.rem_euclid_big(&g).is_zero());
@@ -74,12 +86,9 @@ props! {
         }
     }
 
-    fn rational_field_laws(an in |r: &mut StdRng| r.random_range(-10_000i64..10_000),
-                           ad in |r: &mut StdRng| r.random_range(1i64..1000),
-                           bn in |r: &mut StdRng| r.random_range(-10_000i64..10_000),
-                           bd in |r: &mut StdRng| r.random_range(1i64..1000)) {
-        let a = BigRational::new(an.into(), ad.into());
-        let b = BigRational::new(bn.into(), bd.into());
+    fn rational_field_laws(an in word, ad in den, bn in word, bd in den) {
+        let a = BigRational::new(bi(an), ad.into());
+        let b = BigRational::new(bi(bn), bd.into());
         assert_eq!(&a + &b, &b + &a);
         assert_eq!(&a * &b, &b * &a);
         assert_eq!(&(&a + &b) - &b, a.clone());
@@ -88,31 +97,26 @@ props! {
         }
     }
 
-    fn rational_order_total(an in |r: &mut StdRng| r.random_range(-1000i64..1000),
-                            ad in |r: &mut StdRng| r.random_range(1i64..100),
-                            bn in |r: &mut StdRng| r.random_range(-1000i64..1000),
-                            bd in |r: &mut StdRng| r.random_range(1i64..100)) {
-        let a = BigRational::new(an.into(), ad.into());
-        let b = BigRational::new(bn.into(), bd.into());
+    fn rational_order_total(an in word, ad in den, bn in word, bd in den) {
+        let a = BigRational::new(bi(an), ad.into());
+        let b = BigRational::new(bi(bn), bd.into());
         // Compare against tolerance-free cross multiplication.
-        let lhs = (an as i128) * (bd as i128);
-        let rhs = (bn as i128) * (ad as i128);
+        let lhs = an * (bd as i128);
+        let rhs = bn * (ad as i128);
         assert_eq!(a.cmp(&b), lhs.cmp(&rhs));
     }
 
-    fn rational_floor_ceil_bracket(n in |r: &mut StdRng| r.random_range(-100_000i64..100_000),
-                                   d in |r: &mut StdRng| r.random_range(1i64..1000)) {
-        let v = BigRational::new(n.into(), d.into());
+    fn rational_floor_ceil_bracket(n in wide, d in den) {
+        let v = BigRational::new(bi(n), d.into());
         let f = BigRational::from_int(v.floor());
         let c = BigRational::from_int(v.ceil());
         assert!(f <= v && v <= c);
         assert!(&c - &f <= BigRational::one());
     }
 
-    fn rational_decimal_roundtrip(n in |r: &mut StdRng| r.random_range(-100_000i64..100_000),
-                                  scale in |r: &mut StdRng| r.random_range(0u32..6)) {
+    fn rational_decimal_roundtrip(n in wide, scale in |r: &mut StdRng| r.random_range(0u32..30)) {
         let den = BigInt::from(10i64).pow(scale);
-        let v = BigRational::new(n.into(), den);
+        let v = BigRational::new(bi(n), den);
         let s = v.to_decimal_string().expect("power-of-ten denominator prints as decimal");
         assert_eq!(BigRational::from_decimal_str(&s).unwrap(), v);
     }

@@ -205,7 +205,12 @@ impl Interval {
         };
         let mul_ext = |a: &Ext, b: &Ext| -> Ext {
             match (a, b) {
-                (Ext::Val(x, sx), Ext::Val(y, sy)) => Ext::Val(x * y, *sx || *sy),
+                (Ext::Val(x, sx), Ext::Val(y, sy)) => {
+                    // An attained 0 times anything in the other operand is
+                    // an attained 0, whether or not that endpoint is open.
+                    let attained_zero = (x.is_zero() && !sx) || (y.is_zero() && !sy);
+                    Ext::Val(x * y, !attained_zero && (*sx || *sy))
+                }
                 (Ext::Val(x, sx), inf) | (inf, Ext::Val(x, sx)) => {
                     if x.is_zero() {
                         // 0·∞ corner contributes 0; a strict zero endpoint
@@ -418,6 +423,25 @@ mod tests {
         assert!(!r.contains(&q(0, 1)), "product of ≥1 values is ≥1");
         let any = Interval::top().mul(&closed(2, 3));
         assert_eq!(any, Interval::top());
+    }
+
+    #[test]
+    fn attained_zero_times_open_endpoint_is_attained() {
+        // [0, 0] × (0, 1/2) = [0, 0], not the empty (0, 0).
+        let open =
+            Interval { lo: Endpoint::bound(q(0, 1), true), hi: Endpoint::bound(q(1, 2), true) };
+        let zero = Interval::point(q(0, 1));
+        assert_eq!(zero.mul(&open), zero);
+        assert_eq!(open.mul(&zero), zero);
+        // The same through division: 0 / (2, ∞) = [0, 0].
+        assert_eq!(zero.div(&Interval::at_least(q(2, 1), true)), Some(zero.clone()));
+        // [0, 1] × (2, 3) = [0, 3): the 0 is attained, the 3 is not.
+        let product = closed(0, 1).mul(&Interval {
+            lo: Endpoint::bound(q(2, 1), true),
+            hi: Endpoint::bound(q(3, 1), true),
+        });
+        assert_eq!(product.lo, Endpoint::bound(q(0, 1), false));
+        assert_eq!(product.hi, Endpoint::bound(q(3, 1), true));
     }
 
     #[test]

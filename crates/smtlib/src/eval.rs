@@ -328,14 +328,23 @@ impl Evaluator {
             _ => {}
         }
 
-        let vals: Vec<Value> =
-            args.iter().map(|a| self.eval(a, scope)).collect::<Result<_, _>>()?;
+        let mut vals = Vec::with_capacity(args.len());
+        for a in args {
+            vals.push(self.eval(a, scope)?);
+        }
+        self.apply(term, op, &vals)
+    }
 
+    /// Applies a non-short-circuiting operator to its evaluated arguments.
+    /// Kept out of line so that its locals stay off the stack while
+    /// [`Evaluator::eval`] recurses.
+    #[inline(never)]
+    fn apply(&self, term: &Term, op: Op, vals: &[Value]) -> Result<Value, EvalError> {
         match op {
             Op::Not => Ok(Value::Bool(!bool_of(&vals[0])?)),
             Op::Xor => {
                 let mut acc = false;
-                for v in &vals {
+                for v in vals {
                     acc ^= bool_of(v)?;
                 }
                 Ok(Value::Bool(acc))
@@ -364,9 +373,9 @@ impl Evaluator {
                 Value::Real(v) => Ok(Value::Real(v.abs())),
                 v => Err(sort_err("abs", v)),
             },
-            Op::Add => numeric_fold(&vals, |a, b| a + b),
-            Op::Sub => numeric_fold(&vals, |a, b| a - b),
-            Op::Mul => numeric_fold(&vals, |a, b| a * b),
+            Op::Add => numeric_fold(vals, |a, b| a + b),
+            Op::Sub => numeric_fold(vals, |a, b| a - b),
+            Op::Mul => numeric_fold(vals, |a, b| a * b),
             Op::RealDiv => {
                 let mut acc = rat_of(&vals[0])?;
                 for v in &vals[1..] {
@@ -403,16 +412,16 @@ impl Evaluator {
                 }
                 Ok(Value::Int(acc))
             }
-            Op::Le => compare_chain(&vals, |o| o != std::cmp::Ordering::Greater),
-            Op::Lt => compare_chain(&vals, |o| o == std::cmp::Ordering::Less),
-            Op::Ge => compare_chain(&vals, |o| o != std::cmp::Ordering::Less),
-            Op::Gt => compare_chain(&vals, |o| o == std::cmp::Ordering::Greater),
+            Op::Le => compare_chain(vals, |o| o != std::cmp::Ordering::Greater),
+            Op::Lt => compare_chain(vals, |o| o == std::cmp::Ordering::Less),
+            Op::Ge => compare_chain(vals, |o| o != std::cmp::Ordering::Less),
+            Op::Gt => compare_chain(vals, |o| o == std::cmp::Ordering::Greater),
             Op::ToReal => Ok(Value::Real(rat_of(&vals[0])?)),
             Op::ToInt => Ok(Value::Int(rat_of(&vals[0])?.floor())),
             Op::IsInt => Ok(Value::Bool(rat_of(&vals[0])?.is_integer())),
             Op::StrConcat => {
                 let mut out = String::new();
-                for v in &vals {
+                for v in vals {
                     out.push_str(str_of(v)?);
                 }
                 Ok(Value::Str(out))

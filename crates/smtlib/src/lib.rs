@@ -45,7 +45,7 @@ mod typecheck;
 pub use eval::{regex_of_closed_term, EvalError, Model, Value, ZeroDivPolicy};
 pub use lexer::{tokenize, LexError, Token, TokenKind};
 pub use logic::{Logic, ParseLogicError};
-pub use parser::{op_for_symbol, parse_script, parse_term, ParseError};
+pub use parser::{op_for_symbol, parse_script, parse_term, ParseError, MAX_NESTING};
 pub use printer::escape_string;
 pub use regex::Regex;
 pub use script::{Command, Script};

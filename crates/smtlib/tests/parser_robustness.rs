@@ -2,7 +2,7 @@
 //! parses or returns a structured error.
 
 use yinyang_rt::{props, Rng, StdRng};
-use yinyang_smtlib::{parse_script, parse_term, tokenize};
+use yinyang_smtlib::{check_script, parse_script, parse_term, tokenize, Model, Value, MAX_NESTING};
 
 /// Arbitrary printable text (plus some control/unicode characters) up to
 /// `max` characters.
@@ -84,6 +84,15 @@ props! {
     }
 }
 
+/// `(assert (not (not … x)))` with `depth` nested `not`s.
+fn nested_not(depth: usize) -> String {
+    format!(
+        "(declare-fun x () Bool)(assert {}x{})(check-sat)",
+        "(not ".repeat(depth),
+        ")".repeat(depth)
+    )
+}
+
 #[test]
 fn deeply_nested_input_is_handled() {
     // 300 levels of nesting: must error or parse without stack overflow.
@@ -91,6 +100,30 @@ fn deeply_nested_input_is_handled() {
     let _ = parse_term(&deep);
     let unbalanced = "(".repeat(500);
     assert!(parse_script(&unbalanced).is_err());
+
+    // Far past the limit: an error naming the first parenthesis too deep.
+    let err = parse_script(&nested_not(50_000)).expect_err("50,000 levels are refused");
+    let first_not = "(declare-fun x () Bool)(assert ".len();
+    assert_eq!(err.offset, first_not + MAX_NESTING * "(not ".len());
+    assert!(err.message.contains("nesting"), "{err}");
+    assert!(parse_script(&nested_not(MAX_NESTING + 1)).is_err());
+    // Attribute values are skipped as s-expressions, under the same limit.
+    let info = format!("(set-info :source {}x{})", "(".repeat(50_000), ")".repeat(50_000));
+    assert!(parse_script(&info).is_err());
+
+    // At the limit, every pass runs on the default stack of a spawned thread.
+    let at_limit = nested_not(MAX_NESTING);
+    std::thread::spawn(move || {
+        let script = parse_script(&at_limit).expect("the limit itself parses");
+        check_script(&script).expect("typechecks");
+        let assertion = &script.asserts()[0];
+        assert_eq!(parse_term(&assertion.to_string()).as_ref(), Ok(assertion));
+        let mut model = Model::new();
+        model.set("x", Value::Bool(true));
+        assert_eq!(model.eval(assertion), Ok(Value::Bool(MAX_NESTING.is_multiple_of(2))));
+    })
+    .join()
+    .expect("no stack overflow at the nesting limit");
 }
 
 #[test]

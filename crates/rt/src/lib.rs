@@ -10,7 +10,7 @@
 //! | [`prop`] | `proptest` | property harness with greedy shrinking |
 //! | [`bench`] | `criterion` | wall-clock micro-bench runner (median/p95, JSON) |
 //! | [`json`] | `serde`/`serde_json` | hand-rolled JSON writer/reader |
-//! | [`pool`] | `crossbeam` | `std::thread` + `mpsc` worker pools |
+//! | [`pool`] | `crossbeam` | `std::thread` + `mpsc` fork/join worker pool |
 //! | [`pipeline`] | `rayon`-style stage graphs | bounded fuse/solve pipeline with a reorder buffer |
 //! | [`metrics`] | `prometheus`-alikes | sharded counters/gauges/histograms |
 //! | [`trace`] | `tracing` | replay-safe spans + JSON-lines events |

@@ -1,13 +1,9 @@
-//! Worker pools on `std::thread` + `mpsc`, replacing `crossbeam`.
+//! A worker pool on `std::thread` + `mpsc`, replacing `crossbeam`.
 //!
-//! Two entry points:
-//!
-//! * [`parallel_map`] — scoped fork/join over a work list: N workers pull
-//!   indexed items off a shared channel and push results back; output
-//!   order matches input order. This is what the campaign runner uses to
-//!   split a round's iterations across threads.
-//! * [`ThreadPool`] — a long-lived pool for `'static` jobs, kept for
-//!   future campaign sharding where work arrives incrementally.
+//! [`parallel_map`] is scoped fork/join over a work list: N workers pull
+//! indexed items off a shared channel and push results back; output order
+//! matches input order. This is what the campaign runner uses to split a
+//! round's iterations across threads.
 
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -72,60 +68,9 @@ where
     })
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed-size pool of worker threads consuming boxed jobs from an
-/// `mpsc` channel. Dropping the pool joins all workers after the queue
-/// drains.
-pub struct ThreadPool {
-    sender: Option<mpsc::Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Spawns `threads` workers (at least one).
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (sender, receiver) = mpsc::channel::<Job>();
-        let receiver = std::sync::Arc::new(Mutex::new(receiver));
-        let workers = (0..threads)
-            .map(|i| {
-                let receiver = std::sync::Arc::clone(&receiver);
-                std::thread::Builder::new()
-                    .name(format!("yinyang-worker-{i}"))
-                    .spawn(move || loop {
-                        let job = receiver.lock().expect("queue lock").recv();
-                        match job {
-                            Ok(job) => job(),
-                            Err(_) => return, // channel closed: shut down
-                        }
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-        ThreadPool { sender: Some(sender), workers }
-    }
-
-    /// Enqueues a job; some worker will run it.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.sender.as_ref().expect("pool alive").send(Box::new(job)).expect("workers alive");
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        drop(self.sender.take()); // close the queue
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -150,21 +95,5 @@ mod tests {
     fn parallel_map_handles_more_threads_than_items() {
         let out = parallel_map(16, vec![5u32, 6], |i| i);
         assert_eq!(out, vec![5, 6]);
-    }
-
-    #[test]
-    fn thread_pool_runs_all_jobs() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = ThreadPool::new(4);
-            for _ in 0..50 {
-                let counter = Arc::clone(&counter);
-                pool.execute(move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            // Drop joins after the queue drains.
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 50);
     }
 }

@@ -13,6 +13,17 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> arithmetic tests with release semantics"
+# Release builds wrap on integer overflow where debug builds panic, so the
+# checked i64/i128 fast paths of BigInt and BigRational are tested again
+# the way the campaign binary runs them.
+cargo test -q --release --offline -p yinyang-arith
+
+echo "==> campaign benchmark smoke tests"
+# The benchmark is its own workspace over crates/*; its smoke tests check
+# every workload's outputs against the method's properties.
+cargo test -q --release --offline --manifest-path campaign-bench/Cargo.toml
+
 echo "==> telemetry smoke gate"
 # A tiny traced campaign must produce (a) a JSON-lines trace that
 # trace-check can parse with rt::json, and (b) a report with a telemetry

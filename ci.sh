@@ -31,9 +31,8 @@ echo "==> telemetry smoke gate"
 # must be byte-identical replays across thread counts.
 SMOKE=target/telemetry-smoke
 mkdir -p "$SMOKE"
-# These runs use the staged fuse/solve pipeline (the fuzz default); the
-# timeout is the reorder-buffer watchdog — a deadlocked collector hangs
-# forever rather than finishing slowly, so a hard cap is the right gate.
+# The timeout is a hang watchdog: a deadlocked executor hangs forever
+# rather than finishing slowly, so a hard cap is the right gate.
 timeout 300 target/release/yinyang fuzz --iterations 2 --rounds 1 --seed 7 \
     --threads 1 --json --trace "$SMOKE/seq.jsonl" > "$SMOKE/seq.json"
 timeout 300 target/release/yinyang fuzz --iterations 2 --rounds 1 --seed 7 \
@@ -44,26 +43,6 @@ target/release/yinyang trace-check "$SMOKE/seq.jsonl" > /dev/null
 grep -q '"telemetry"' "$SMOKE/seq.json"
 grep -q '"stages"' "$SMOKE/seq.json"
 grep -q '"solver.sat.decisions"' "$SMOKE/seq.json"
-
-echo "==> pipeline differential gate"
-# The pipelined executor may only change job *timing*, never report or
-# trace bytes: the lockstep fork/join reference (--no-pipeline) must
-# reproduce the telemetry gate's pipelined outputs exactly, at both
-# thread counts. This is the executor's end-to-end differential — the
-# in-process version lives in crates/campaign/tests/pipeline_props.rs.
-PIPE=target/pipeline-smoke
-rm -rf "$PIPE"
-mkdir -p "$PIPE"
-timeout 300 target/release/yinyang fuzz --iterations 2 --rounds 1 --seed 7 \
-    --threads 1 --no-pipeline --json --trace "$PIPE/lockstep1.jsonl" \
-    > "$PIPE/lockstep1.json"
-timeout 300 target/release/yinyang fuzz --iterations 2 --rounds 1 --seed 7 \
-    --threads 3 --no-pipeline --json --trace "$PIPE/lockstep3.jsonl" \
-    > "$PIPE/lockstep3.json"
-cmp "$SMOKE/seq.json" "$PIPE/lockstep1.json"
-cmp "$SMOKE/seq.jsonl" "$PIPE/lockstep1.jsonl"
-cmp "$SMOKE/par.json" "$PIPE/lockstep3.json"
-cmp "$SMOKE/par.jsonl" "$PIPE/lockstep3.jsonl"
 
 echo "==> forensics smoke gate"
 # A faulted campaign must yield at least one reproduction bundle whose
@@ -112,36 +91,6 @@ grep -q '"stale": 0' "$REGRESS/seq.json"
 grep -q '"still-broken"' "$REGRESS/seq.json"
 target/release/yinyang regress "$FORENSICS/bundles" | grep -q "still-broken"
 
-echo "==> solve-cache smoke gate"
-# The cache may only change speed, never bytes: a cache-on campaign must
-# report exactly what the cache-off run (the telemetry gate's seq.json)
-# reported, trace included, and a regress replay of a bundle whose fused
-# and reduced scripts coincide must score a nonzero hit rate within one
-# process — both summarized on stderr, never in the report.
-CACHE=target/cache-smoke
-rm -rf "$CACHE"
-mkdir -p "$CACHE"
-target/release/yinyang fuzz --iterations 2 --rounds 1 --seed 7 --threads 1 \
-    --cache --json --trace "$CACHE/cached.jsonl" \
-    > "$CACHE/cached.json" 2> "$CACHE/fuzz-stderr.txt"
-cmp "$SMOKE/seq.json" "$CACHE/cached.json"
-cmp "$SMOKE/seq.jsonl" "$CACHE/cached.jsonl"
-grep -q "solve cache:" "$CACHE/fuzz-stderr.txt"
-# Craft a minimal bundle with fused == reduced: regress solves both under
-# one cache key, so the second solve is a guaranteed within-run hit.
-BUNDLE="$CACHE/corpus/zirkon-smoke-unknown-QF_LIA"
-mkdir -p "$BUNDLE"
-printf '(set-logic QF_LIA)\n(declare-fun x () Int)\n(assert (> x 0))\n(check-sat)\n' \
-    > "$BUNDLE/fused.smt2"
-cp "$BUNDLE/fused.smt2" "$BUNDLE/reduced.smt2"
-printf '{\n  "solver": "zirkon-trunk",\n  "bug_id": null,\n  "behavior": "SpuriousUnknown",\n  "oracle": "sat",\n  "fixed_bugs": []\n}\n' \
-    > "$BUNDLE/verdict.json"
-target/release/yinyang regress "$CACHE/corpus" --json --cache \
-    > "$CACHE/regress-on.json" 2> "$CACHE/regress-stderr.txt"
-grep -q "solve cache: hits [1-9]" "$CACHE/regress-stderr.txt"
-target/release/yinyang regress "$CACHE/corpus" --json > "$CACHE/regress-off.json"
-cmp "$CACHE/regress-off.json" "$CACHE/regress-on.json"
-
 echo "==> status server + export smoke gate"
 # The status server is observability only: a campaign run with
 # --status-addr must print the exact report and trace a serverless run
@@ -188,14 +137,6 @@ grep -q '^yinyang_build_info{version="' "$STATUS/metrics.txt"
 grep -q '^# TYPE span_solve histogram$' "$STATUS/metrics.txt"
 grep -q 'span_solve_bucket{le="+Inf"}' "$STATUS/metrics.txt"
 grep -q '^span_solve_count ' "$STATUS/metrics.txt"
-# The staged executor's own telemetry: queue/occupancy gauges and the
-# per-stage wall-time histograms (global-registry only — they never
-# appear in reports, which stay byte-identical to lockstep runs).
-grep -q '^# HELP pipeline_queue_depth ' "$STATUS/metrics.txt"
-grep -q '^# TYPE pipeline_queue_depth gauge$' "$STATUS/metrics.txt"
-grep -q '^pipeline_stage2_workers 3$' "$STATUS/metrics.txt"
-grep -q '^# TYPE span_pipeline_stage1 histogram$' "$STATUS/metrics.txt"
-grep -q 'span_pipeline_stage2_bucket{le="+Inf"}' "$STATUS/metrics.txt"
 kill "$FUZZ_PID" 2>/dev/null || true
 wait "$FUZZ_PID" 2>/dev/null || true
 # Exporters: valid outputs, byte-identical across reruns.
@@ -245,17 +186,17 @@ done
 cmp "$SMOKE/seq.json" "$FLEET/merged.json"
 cmp "$SMOKE/seq.jsonl" "$FLEET/merged.jsonl"
 # During the hold the workers are still scrapeable: the federated
-# /metrics must re-export their staged-executor gauges and per-stage
-# histograms as shard-labeled series with HELP metadata.
+# /metrics must re-export their solve-span histograms as shard-labeled
+# series with HELP metadata.
 for _ in $(seq 1 100); do
     target/release/yinyang fetch "$ADDR" /metrics > "$FLEET/metrics-healthy.txt" || true
-    grep -q 'pipeline_queue_depth{shard="1"}' "$FLEET/metrics-healthy.txt" && break
+    grep -q 'span_solve_count{shard="0"}' "$FLEET/metrics-healthy.txt" \
+        && grep -q 'span_solve_count{shard="1"}' "$FLEET/metrics-healthy.txt" && break
     sleep 0.1
 done
-grep -q '^# HELP pipeline_queue_depth ' "$FLEET/metrics-healthy.txt"
-grep -q 'pipeline_queue_depth{shard="0"}' "$FLEET/metrics-healthy.txt"
-grep -q 'pipeline_queue_depth{shard="1"}' "$FLEET/metrics-healthy.txt"
-grep -q 'span_pipeline_stage2_count{shard="0"}' "$FLEET/metrics-healthy.txt"
+grep -q '^# HELP span_solve ' "$FLEET/metrics-healthy.txt"
+grep -q 'span_solve_count{shard="0"}' "$FLEET/metrics-healthy.txt"
+grep -q 'span_solve_count{shard="1"}' "$FLEET/metrics-healthy.txt"
 kill "$HEALTHY_PID" 2>/dev/null || true
 wait "$HEALTHY_PID" 2>/dev/null || true
 # Degraded leg: stall the workers so the kill lands before their round-0
@@ -275,10 +216,12 @@ done
 test -n "$ADDR"
 target/release/yinyang fetch "$ADDR" /healthz | grep -qx "ok"
 target/release/yinyang fetch "$ADDR" /status | grep -q '"phase": "fleet"'
-# The per-shard series appear after the supervisor's first scrape lands.
+# The per-shard series appear after the supervisor's first scrape of each
+# shard lands; the shards come up in either order, so wait for both.
 for _ in $(seq 1 100); do
     target/release/yinyang fetch "$ADDR" /metrics > "$FLEET/metrics.txt" || true
-    grep -q 'yinyang_shard_up{shard="1"} 1' "$FLEET/metrics.txt" && break
+    grep -q 'yinyang_shard_up{shard="0"} 1' "$FLEET/metrics.txt" \
+        && grep -q 'yinyang_shard_up{shard="1"} 1' "$FLEET/metrics.txt" && break
     sleep 0.1
 done
 grep -q 'yinyang_shard_up{shard="0"} 1' "$FLEET/metrics.txt"
@@ -303,15 +246,5 @@ grep -q "shard 1" "$FLEET/stderr.txt"
 echo "==> bench report regeneration (fast mode)"
 YINYANG_BENCH_FAST=1 cargo bench --offline -p yinyang-bench --bench throughput
 test -s crates/bench/target/yinyang-bench/report.json
-
-echo "==> pipeline bench smoke (fast mode)"
-# Fast-mode sanity only — the committed BENCH_pipeline.json comes from a
-# full run of the command documented in crates/bench/benches/pipeline.rs.
-# Absolute output path: cargo runs benches from the package directory.
-YINYANG_BENCH_FAST=1 YINYANG_BENCH_PIPELINE_OUT="$PWD/$PIPE/BENCH_pipeline.json" \
-    cargo bench --offline -p yinyang-bench --bench pipeline
-test -s "$PIPE/BENCH_pipeline.json"
-grep -q '"mixed_fuse_solve"' "$PIPE/BENCH_pipeline.json"
-grep -q '"speedup"' "$PIPE/BENCH_pipeline.json"
 
 echo "CI green."

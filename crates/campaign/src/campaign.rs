@@ -21,13 +21,11 @@
 
 use crate::config::{fast_solver_config, Behavior, CampaignConfig, CampaignOutcome, RawFinding};
 use crate::fleet::{Execution, PartialJob, RoundPartial};
-use crate::solve_cache::{key_text, SolveCache};
 use crate::telemetry::CoverageRound;
 use std::collections::BTreeSet;
-use yinyang_core::{concat_fuzz, run_catching, Fused, Fuser, Oracle, SolverAnswer};
+use yinyang_core::{concat_fuzz, run_catching, Fuser, Oracle, SolverAnswer};
 use yinyang_coverage::{CoverageMap, ProbeKind};
 use yinyang_faults::{BugClass, BugStatus, FaultySolver, SolverId};
-use yinyang_rt::cache::CacheStatsView;
 use yinyang_rt::trace::{self, TraceEvent};
 use yinyang_rt::{metrics, MetricsSnapshot, Rng, StdRng, Stopwatch};
 use yinyang_seedgen::profile::{fig7_profile, generate_row};
@@ -68,10 +66,6 @@ pub struct CampaignRun {
     /// Cumulative coverage after each round (empty unless
     /// [`CampaignConfig::coverage_trajectory`] is set).
     pub coverage_rounds: Vec<CoverageRound>,
-    /// Solve-cache health counters at the end of the run (`None` when the
-    /// cache was off). Stderr-only material: hit/miss counts depend on
-    /// scheduling, so they never reach byte-compared report sections.
-    pub cache_stats: Option<CacheStatsView>,
 }
 
 /// Runs a full multi-round campaign against one persona's trunk.
@@ -98,24 +92,11 @@ pub fn run_campaign_with_metrics(
 /// campaigns share the process — see
 /// [`CampaignConfig::coverage_trajectory`]).
 pub fn run_campaign_full(config: &CampaignConfig, solver_id: SolverId) -> CampaignRun {
-    let cache = config.cache.then(|| SolveCache::new(config.cache_capacity));
-    run_campaign_full_with_cache(config, solver_id, cache.as_ref())
-}
-
-/// [`run_campaign_full`] against a caller-owned [`SolveCache`], so several
-/// campaigns (e.g. both personas of `yinyang fuzz`) can share one cache —
-/// the persona is part of every key, sharing only pools the budget. Pass
-/// `None` to disable caching regardless of [`CampaignConfig::cache`].
-pub fn run_campaign_full_with_cache(
-    config: &CampaignConfig,
-    solver_id: SolverId,
-    cache: Option<&SolveCache>,
-) -> CampaignRun {
-    run_campaign_full_exec(config, solver_id, cache, &Execution::Local)
+    run_campaign_full_exec(config, solver_id, &Execution::Local)
         .expect("local campaigns have no fleet I/O to fail on")
 }
 
-/// [`run_campaign_full_with_cache`] parameterized by an [`Execution`]:
+/// [`run_campaign_full`] parameterized by an [`Execution`]:
 /// the same driver loop runs single-process (`Local`), as a fleet shard
 /// (`Worker`), or as the fleet's merging supervisor (`Supervisor`). Every
 /// mode regenerates rounds and job seeds identically; only *who executes
@@ -126,7 +107,6 @@ pub fn run_campaign_full_with_cache(
 pub fn run_campaign_full_exec(
     config: &CampaignConfig,
     solver_id: SolverId,
-    cache: Option<&SolveCache>,
     exec: &Execution<'_>,
 ) -> Result<CampaignRun, String> {
     let mut run = CampaignRun::default();
@@ -143,7 +123,7 @@ pub fn run_campaign_full_exec(
         matches!(exec, Execution::Supervisor(_)).then(yinyang_coverage::snapshot);
     let mut fleet_coverage = CoverageMap::default();
     for round in 0..config.rounds {
-        let mut round_out = run_round(config, solver_id, round, &fixed, cache, exec)?;
+        let mut round_out = run_round(config, solver_id, round, &fixed, exec)?;
         match exec {
             Execution::Worker(worker) => {
                 // Triage needs every shard's findings, so it belongs to
@@ -211,12 +191,11 @@ pub fn run_campaign_full_exec(
         run.outcome.stats.unknowns += round_out.outcome.stats.unknowns;
         run.outcome.stats.fusion_failures += round_out.outcome.stats.fusion_failures;
         run.metrics.merge(&round_out.metrics);
-        publish_progress(solver_id, config, round, &run.outcome, cache);
+        publish_progress(solver_id, config, round, &run.outcome);
         if config.heartbeat {
-            heartbeat(solver_id, config, round, &run.outcome, &run.metrics, &watch, cache);
+            heartbeat(solver_id, config, round, &run.outcome, &run.metrics, &watch);
         }
     }
-    run.cache_stats = cache.map(SolveCache::stats);
     Ok(run)
 }
 
@@ -230,7 +209,6 @@ fn publish_progress(
     config: &CampaignConfig,
     round: usize,
     outcome: &CampaignOutcome,
-    cache: Option<&SolveCache>,
 ) {
     let progress = yinyang_rt::serve::progress();
     let mut findings: std::collections::BTreeMap<String, u64> = Default::default();
@@ -247,14 +225,6 @@ fn publish_progress(
             findings,
         },
     );
-    if let Some(stats) = cache.map(SolveCache::stats) {
-        progress.set_cache(yinyang_rt::serve::CacheProgress {
-            hits: stats.hits,
-            misses: stats.misses,
-            evictions: stats.evictions,
-            verify_fails: stats.verify_fails,
-        });
-    }
 }
 
 /// One periodic stderr progress line. Wall clock is fine here: stderr is
@@ -267,7 +237,6 @@ fn heartbeat(
     outcome: &CampaignOutcome,
     telemetry: &MetricsSnapshot,
     watch: &Stopwatch,
-    cache: Option<&SolveCache>,
 ) {
     let rate = outcome.stats.tests as f64 / watch.elapsed_secs().max(1e-9);
     let (mut incorrect, mut crashes, mut spurious) = (0usize, 0usize, 0usize);
@@ -279,24 +248,10 @@ fn heartbeat(
         }
     }
     let solve = telemetry.histograms.get("span.solve").map(|h| h.summary()).unwrap_or_default();
-    // Cache counters are cumulative across rounds (and across campaigns
-    // when the cache is shared); like the rest of the heartbeat they are
-    // stderr-only and never byte-compared.
-    let cache_block = match cache.map(SolveCache::stats) {
-        None => String::new(),
-        Some(s) => format!(
-            ", cache.hit/miss/evict/verify_fail {}/{}/{}/{} ({:.1}% hit)",
-            s.hits,
-            s.misses,
-            s.evictions,
-            s.verify_fails,
-            s.hit_rate() * 100.0,
-        ),
-    };
     eprintln!(
         "[yinyang {}] round {}/{}: {} tests ({rate:.1}/s), findings {} \
          (incorrect {incorrect}, crash {crashes}, spurious-unknown {spurious}), \
-         solve p50/p95/p99 {}/{}/{} {}{cache_block}",
+         solve p50/p95/p99 {}/{}/{} {}",
         solver_id.name(),
         round + 1,
         config.rounds,
@@ -374,7 +329,6 @@ fn run_round(
     solver_id: SolverId,
     round: usize,
     fixed: &BTreeSet<u32>,
-    cache: Option<&SolveCache>,
     exec: &Execution<'_>,
 ) -> Result<RoundOutput, String> {
     let round_seed = config.rng_seed ^ (round as u64).wrapping_mul(0x9E37_79B9);
@@ -409,33 +363,17 @@ fn run_round(
     let rng_seeds: Vec<u64> = jobs.iter().map(|j| j.rng_seed).collect();
     let fuser = Fuser::new();
     let progress = yinyang_rt::serve::progress();
-    // Both executors return results in input order over any job slice, so
-    // `Local` and `Worker` share one dispatcher: the pipeline overlaps the
-    // cheap fuse stage with straggling solves, the lockstep fork/join
-    // (`--no-pipeline`) is the byte-identical differential reference.
+    // `parallel_map` returns results in input order over any job slice,
+    // so `Local` and `Worker` share one dispatcher.
     let run_jobs = |jobs: Vec<TestJob>| -> Vec<JobResult> {
-        if config.pipeline {
-            let pipe = yinyang_rt::pipeline::PipelineConfig::for_threads(config.threads);
-            yinyang_rt::pipeline::pipeline_map(
-                &pipe,
-                jobs,
-                |job| fuse_test(&fuser, &pools, job),
-                |prep| {
-                    let result = solve_test(solver_id, round, fixed, &pools, prep, cache);
-                    // One relaxed atomic bump for the live `/status` job
-                    // counter — no locks, metrics, or spans, so the job's
-                    // telemetry bracket and the report bytes are untouched.
-                    progress.job_done();
-                    result
-                },
-            )
-        } else {
-            yinyang_rt::pool::parallel_map(config.threads, jobs, |job| {
-                let result = run_test(solver_id, round, fixed, &fuser, &pools, job, cache);
-                progress.job_done();
-                result
-            })
-        }
+        yinyang_rt::pool::parallel_map(config.threads, jobs, |job| {
+            let result = run_test(solver_id, round, fixed, &fuser, &pools, job);
+            // One relaxed atomic bump for the live `/status` job counter —
+            // no locks, metrics, or spans, so the job's telemetry bracket
+            // and the report bytes are untouched.
+            progress.job_done();
+            result
+        })
     };
     let (results, worker_coverage): (Vec<JobResult>, Option<CoverageMap>) = match exec {
         Execution::Local => {
@@ -445,7 +383,7 @@ fn run_round(
         Execution::Worker(worker) => {
             let base = worker.begin_round(job_count);
             // Shard ownership partitions the flat job list *before* the
-            // executor runs, so each shard pipelines only its own jobs and
+            // executor runs, so each shard runs only its own jobs and
             // the merged fleet report stays byte-identical.
             let (owned_indices, owned_jobs): (Vec<usize>, Vec<TestJob>) =
                 jobs.into_iter().enumerate().filter(|(index, _)| worker.owns(base + index)).unzip();
@@ -532,32 +470,19 @@ fn run_round(
     Ok(RoundOutput { outcome, metrics: round_metrics, events, forensics, worker_coverage })
 }
 
-/// Stage-1 output of the staged executor: one job's fusion attempt, plus
-/// the private telemetry slice it produced. Carrying the stage's trace
-/// events and metrics delta across the inter-stage queue is what keeps
-/// the pipelined report byte-identical: [`solve_test`] concatenates them
-/// with its own in the fixed fuse-then-solve order, exactly what the
-/// one-thread composition produces, no matter which threads the stages
-/// actually ran on.
-struct FusedTest {
-    /// Pool index of the job (stage 2 needs the pool for solving and the
-    /// finding record).
-    pool: usize,
-    /// Seed-pool indices of the drawn pair, for the finding's ancestry.
-    s1: usize,
-    s2: usize,
-    tests: usize,
-    fusion_failures: usize,
-    /// The fused formula, or `None` when the pair wasn't fusible.
-    fused: Option<Fused>,
-    events: Vec<TraceEvent>,
-    metrics: MetricsSnapshot,
-}
-
-/// The cheap stage: draw the job's seed pair and fuse it. Consumes the
-/// job's entire RNG stream, so scheduling the expensive stage elsewhere
-/// can't perturb any draw.
-fn fuse_test(fuser: &Fuser, pools: &[RoundPool], job: TestJob) -> FusedTest {
+/// One fused test: pick a pair, fuse, solve, check against the oracle.
+/// The job brackets itself with thread-local metric snapshots and drains
+/// its own trace events, so its telemetry contribution is identical no
+/// matter which pool thread runs it. The persona is built even when the
+/// pair is not fusible: its coverage probes are part of the trajectory.
+fn run_test(
+    solver_id: SolverId,
+    round: usize,
+    fixed: &BTreeSet<u32>,
+    fuser: &Fuser,
+    pools: &[RoundPool],
+    job: TestJob,
+) -> JobResult {
     let before = metrics::local_snapshot();
     let pool = &pools[job.pool];
     let mut rng = StdRng::seed_from_u64(job.rng_seed);
@@ -567,115 +492,50 @@ fn fuse_test(fuser: &Fuser, pools: &[RoundPool], job: TestJob) -> FusedTest {
         let _span = yinyang_rt::span!("fusion", benchmark = pool.benchmark, oracle = pool.oracle);
         fuser.fuse(&mut rng, pool.oracle, &pool.seeds[s1].script, &pool.seeds[s2].script)
     };
-    let (tests, fusion_failures, fused) = match fused {
-        Err(_) => (0, 1, None),
-        Ok(fused) => (1, 0, Some(fused)),
-    };
-    FusedTest {
-        pool: job.pool,
-        s1,
-        s2,
-        tests,
-        fusion_failures,
-        fused,
-        events: trace::take_events(),
-        metrics: metrics::local_snapshot().delta(&before),
-    }
-}
-
-/// The expensive stage: run the persona on the fused formula and check it
-/// against the construction oracle. The persona is rebuilt here even for
-/// failed fusions — the lockstep executor always constructs it, and the
-/// two paths must stay probe-for-probe identical for the coverage
-/// trajectory to match.
-fn solve_test(
-    solver_id: SolverId,
-    round: usize,
-    fixed: &BTreeSet<u32>,
-    pools: &[RoundPool],
-    prep: FusedTest,
-    cache: Option<&SolveCache>,
-) -> JobResult {
-    let before = metrics::local_snapshot();
-    let pool = &pools[prep.pool];
     let mut solver = FaultySolver::trunk(solver_id);
     solver.set_base_config(fast_solver_config());
     for &id in fixed {
         solver.apply_fix(id);
     }
     let mut result = JobResult {
-        tests: prep.tests,
+        tests: 0,
         unknowns: 0,
-        fusion_failures: prep.fusion_failures,
+        fusion_failures: 0,
         finding: None,
-        events: prep.events,
+        events: Vec::new(),
         metrics: MetricsSnapshot::default(),
     };
-    if let Some(fused) = prep.fused {
-        let answer = {
-            // The enclosing span stays *outside* the cached unit: its
-            // fields (benchmark) vary per call site and must not leak
-            // into cache keys or stored events.
-            let _span = yinyang_rt::span!("solve", benchmark = pool.benchmark);
-            match cache {
-                None => run_catching(&solver, &fused.script),
-                Some(cache) => {
-                    let fixed_ids: Vec<u32> = fixed.iter().copied().collect();
-                    let key = key_text(
-                        &yinyang_core::SolverUnderTest::name(&solver),
-                        &fixed_ids,
-                        &fast_solver_config(),
-                        "solve",
-                        &fused.script,
-                    );
-                    cache.solve(&solver, &key, &fused.script)
-                }
+    match fused {
+        Err(_) => result.fusion_failures = 1,
+        Ok(fused) => {
+            result.tests = 1;
+            let answer = {
+                let _span = yinyang_rt::span!("solve", benchmark = pool.benchmark);
+                run_catching(&solver, &fused.script)
+            };
+            let behavior = {
+                let _span = yinyang_rt::span!("oracle");
+                classify(&solver, &fused.script, pool.oracle, &answer, &mut result)
+            };
+            if let Some(behavior) = behavior {
+                let bug_id = solver.triggered_bug(&fused.script).map(|b| b.id);
+                result.finding = Some(RawFinding {
+                    solver: yinyang_core::SolverUnderTest::name(&solver),
+                    bug_id,
+                    behavior,
+                    logic: fused.script.logic().unwrap_or("ALL").to_owned(),
+                    benchmark: pool.benchmark.to_owned(),
+                    round,
+                    script: fused.script.to_string(),
+                    seeds: (pool.seeds[s1].script.to_string(), pool.seeds[s2].script.to_string()),
+                    oracle: pool.oracle.to_string(),
+                });
             }
-        };
-        let behavior = {
-            let _span = yinyang_rt::span!("oracle");
-            classify(&solver, &fused.script, pool.oracle, &answer, &mut result)
-        };
-        if let Some(behavior) = behavior {
-            let bug_id = solver.triggered_bug(&fused.script).map(|b| b.id);
-            result.finding = Some(RawFinding {
-                solver: yinyang_core::SolverUnderTest::name(&solver),
-                bug_id,
-                behavior,
-                logic: fused.script.logic().unwrap_or("ALL").to_owned(),
-                benchmark: pool.benchmark.to_owned(),
-                round,
-                script: fused.script.to_string(),
-                seeds: (
-                    pool.seeds[prep.s1].script.to_string(),
-                    pool.seeds[prep.s2].script.to_string(),
-                ),
-                oracle: pool.oracle.to_string(),
-            });
         }
     }
-    result.events.extend(trace::take_events());
-    result.metrics = prep.metrics;
-    result.metrics.merge(&metrics::local_snapshot().delta(&before));
+    result.events = trace::take_events();
+    result.metrics = metrics::local_snapshot().delta(&before);
     result
-}
-
-/// One fused test: pick a pair, fuse, solve, check against the oracle —
-/// [`fuse_test`] composed with [`solve_test`] on one thread, which is the
-/// lockstep executor's unit of work. The job brackets itself with
-/// thread-local metric snapshots and drains its own trace events, so its
-/// telemetry contribution is identical no matter which pool thread (or
-/// pipeline stage) runs it.
-fn run_test(
-    solver_id: SolverId,
-    round: usize,
-    fixed: &BTreeSet<u32>,
-    fuser: &Fuser,
-    pools: &[RoundPool],
-    job: TestJob,
-    cache: Option<&SolveCache>,
-) -> JobResult {
-    solve_test(solver_id, round, fixed, pools, fuse_test(fuser, pools, job), cache)
 }
 
 /// Compares the solver's answer to the construction oracle, mirroring the

@@ -28,21 +28,6 @@ pub struct CampaignConfig {
     /// one campaign owns the process — the CLI turns this on, libraries
     /// and concurrent tests leave it off.
     pub coverage_trajectory: bool,
-    /// Cache solve results keyed on the canonical script text plus the
-    /// full solver configuration (`--cache` on the CLI). Replay-safe:
-    /// hits replay the cached solve's metrics, trace events, and tick
-    /// cost, so reports stay byte-identical with the cache on or off.
-    pub cache: bool,
-    /// Solve-cache entry bound (`--cache-capacity`); oldest entries are
-    /// evicted first. Ignored unless [`CampaignConfig::cache`] is set.
-    pub cache_capacity: usize,
-    /// Run rounds through the staged fuse/solve pipeline
-    /// ([`yinyang_rt::pipeline`]) instead of the lockstep fork/join
-    /// executor. Replay-safe either way: both executors produce
-    /// byte-identical reports, traces, and bundles for the same seed at
-    /// any thread count, so this only trades scheduling (`--no-pipeline`
-    /// keeps the lockstep path as the differential reference).
-    pub pipeline: bool,
 }
 
 impl Default for CampaignConfig {
@@ -55,9 +40,6 @@ impl Default for CampaignConfig {
             threads: 1,
             heartbeat: false,
             coverage_trajectory: false,
-            cache: false,
-            cache_capacity: 4096,
-            pipeline: true,
         }
     }
 }
@@ -135,18 +117,6 @@ pub struct CampaignOutcome {
     pub stats: CampaignStats,
 }
 
-impl_json_struct!(CampaignConfig {
-    scale,
-    iterations,
-    rounds,
-    rng_seed,
-    threads,
-    heartbeat,
-    coverage_trajectory,
-    cache,
-    cache_capacity,
-    pipeline,
-});
 impl_json_struct!(RawFinding {
     solver,
     bug_id,

@@ -5,7 +5,6 @@
 use crate::campaign::{run_campaign_full_exec, run_concatfuzz_round, FindingForensics};
 use crate::config::{fast_solver_config, CampaignConfig, CampaignOutcome};
 use crate::fleet::Execution;
-use crate::solve_cache::SolveCache;
 use crate::telemetry::Telemetry;
 use crate::triage::{representatives, soundness_representatives, triage, Triage};
 use std::collections::BTreeMap;
@@ -79,11 +78,6 @@ pub struct Fig8Run {
     pub zirkon_forensics: Vec<FindingForensics>,
     /// Per-finding forensics of the Corvus campaign.
     pub corvus_forensics: Vec<FindingForensics>,
-    /// Final solve-cache health counters, cumulative over both campaigns
-    /// (they share one cache; the persona is part of every key). `None`
-    /// when [`CampaignConfig::cache`] was off. Stderr-only material —
-    /// deliberately not part of the serialized [`Fig8Result`].
-    pub cache_stats: Option<yinyang_rt::CacheStatsView>,
 }
 
 /// Runs the full bug-finding campaign against both personas (RQ1).
@@ -109,9 +103,8 @@ pub fn fig8_campaign_full_exec(
     config: &CampaignConfig,
     exec: &Execution<'_>,
 ) -> Result<Fig8Run, String> {
-    let cache = config.cache.then(|| SolveCache::new(config.cache_capacity));
-    let zirkon = run_campaign_full_exec(config, SolverId::Zirkon, cache.as_ref(), exec)?;
-    let corvus = run_campaign_full_exec(config, SolverId::Corvus, cache.as_ref(), exec)?;
+    let zirkon = run_campaign_full_exec(config, SolverId::Zirkon, exec)?;
+    let corvus = run_campaign_full_exec(config, SolverId::Corvus, exec)?;
     let mut all = zirkon.outcome.findings.clone();
     all.extend(corvus.outcome.findings.clone());
     let before = yinyang_rt::metrics::local_snapshot();
@@ -131,7 +124,6 @@ pub fn fig8_campaign_full_exec(
         metrics: merged,
         zirkon_forensics: zirkon.forensics,
         corvus_forensics: corvus.forensics,
-        cache_stats: cache.map(|c| c.stats()),
     })
 }
 

@@ -30,9 +30,6 @@ pub fn pinned_config() -> crate::config::CampaignConfig {
         threads: 1,
         heartbeat: false,
         coverage_trajectory: true,
-        cache: false,
-        cache_capacity: 4096,
-        pipeline: true,
     }
 }
 

@@ -692,12 +692,6 @@ impl Fleet {
             if opts.capture_events {
                 cmd.arg("--capture-events");
             }
-            if !config.pipeline {
-                // Workers default to the staged executor like everyone
-                // else; forward the lockstep opt-out so a differential
-                // fleet run exercises the same reference path end to end.
-                cmd.arg("--no-pipeline");
-            }
             let mut child = cmd.spawn().map_err(|e| {
                 for mut earlier in children.drain(..) {
                     let _: &mut Child = &mut earlier;

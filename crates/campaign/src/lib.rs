@@ -11,9 +11,6 @@
 //!   arbitrary persona release and classifies each finding as
 //!   still-broken / fixed / flaky / stale, deduplicating identical
 //!   reduced test cases across campaigns;
-//! * [`solve_cache`] — the canonical-script solve cache behind `--cache`,
-//!   shared by the campaign driver and regression replay; hits replay the
-//!   skipped solve's telemetry so reports stay byte-identical;
 //! * [`fleet`] — `yinyang fleet`: the same campaign sharded over worker
 //!   *processes* with a deterministic report merge and a federated
 //!   supervisor view of every worker's `/metrics` + `/status`;
@@ -34,7 +31,6 @@ pub mod experiments_md;
 pub mod fleet;
 pub mod forensics;
 pub mod regress;
-pub mod solve_cache;
 pub mod telemetry;
 pub mod triage;
 
@@ -46,9 +42,8 @@ pub use config::{Behavior, CampaignConfig, CampaignOutcome, RawFinding};
 pub use fleet::{Collector, Execution, Fleet, FleetOptions, ShardWorker};
 pub use forensics::{write_bundles, BundleSummary};
 pub use regress::{
-    render_markdown, run_regress, run_regress_full, run_regress_with_stats, BundleStatus,
-    RegressConfig, RegressEntry, RegressReport, RegressRun, RegressSummary,
+    render_markdown, run_regress, run_regress_full, BundleStatus, RegressConfig, RegressEntry,
+    RegressReport, RegressRun, RegressSummary,
 };
-pub use solve_cache::SolveCache;
 pub use telemetry::{CoverageRound, Telemetry};
 pub use triage::{fingerprint, triage, Triage};

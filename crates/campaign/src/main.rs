@@ -55,16 +55,6 @@ options:
   --threads N      worker threads (replay-safe at any count);
                    0 = auto-detect from the machine's available
                    parallelism                                  [default 1]
-  --no-pipeline    (fuzz, fleet, regress) run jobs on the lockstep
-                   fork/join executor instead of the staged fuse/solve
-                   pipeline; reports, --trace files, and bundles are
-                   byte-identical either way — this is the differential
-                   reference path
-  --cache          (fuzz, regress) reuse solve results across identical
-                   canonical scripts; reports stay byte-identical with the
-                   cache on or off, hit/miss stats go to stderr
-  --cache-capacity N
-                   solve-cache entry bound, oldest evicted first [default 4096]
   --json           print reports as JSON (fuzz embeds a telemetry section;
                    profile prints the span tree as JSON)
   --release NAME   (regress) target build: a registry release such as trunk,
@@ -109,6 +99,9 @@ options:
   --quiet          suppress heartbeat and per-finding listings
   --wallclock      time spans in real microseconds instead of deterministic
                    ticks (breaks --seed replay of traced durations)
+
+An unknown --option or a malformed number is an error: the command prints
+one line naming it on stderr and exits non-zero before doing any work.
 ";
 
 fn main() -> ExitCode {
@@ -126,26 +119,26 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--scale" => {
-                config.scale = parse_num(&args, &mut i);
-            }
-            "--iterations" => {
-                config.iterations = parse_num(&args, &mut i);
-            }
-            "--rounds" => {
-                config.rounds = parse_num(&args, &mut i);
-            }
-            "--seed" => {
-                config.rng_seed = parse_num(&args, &mut i) as u64;
-            }
-            "--threads" => {
-                config.threads = parse_num(&args, &mut i);
-            }
-            "--no-pipeline" => config.pipeline = false,
-            "--cache" => config.cache = true,
-            "--cache-capacity" => {
-                config.cache_capacity = parse_num(&args, &mut i);
-            }
+            "--scale" => match parse_num(&args, &mut i) {
+                Some(n) => config.scale = n,
+                None => return ExitCode::FAILURE,
+            },
+            "--iterations" => match parse_num(&args, &mut i) {
+                Some(n) => config.iterations = n,
+                None => return ExitCode::FAILURE,
+            },
+            "--rounds" => match parse_num(&args, &mut i) {
+                Some(n) => config.rounds = n,
+                None => return ExitCode::FAILURE,
+            },
+            "--seed" => match parse_num(&args, &mut i) {
+                Some(n) => config.rng_seed = n as u64,
+                None => return ExitCode::FAILURE,
+            },
+            "--threads" => match parse_num(&args, &mut i) {
+                Some(n) => config.threads = n,
+                None => return ExitCode::FAILURE,
+            },
             "--json" => opts.json = true,
             "--verbose" => verbose = true,
             "--quiet" => opts.quiet = true,
@@ -183,12 +176,14 @@ fn main() -> ExitCode {
                 Some(path) => opts.flamegraph = Some(path),
                 None => return ExitCode::FAILURE,
             },
-            "--lanes" => {
-                opts.lanes = parse_num(&args, &mut i);
-            }
-            "--shards" => {
-                opts.shards = parse_num(&args, &mut i);
-            }
+            "--lanes" => match parse_num(&args, &mut i) {
+                Some(n) => opts.lanes = n,
+                None => return ExitCode::FAILURE,
+            },
+            "--shards" => match parse_num(&args, &mut i) {
+                Some(n) => opts.shards = n,
+                None => return ExitCode::FAILURE,
+            },
             "--partial-dir" => match parse_path(&args, &mut i) {
                 Some(dir) => opts.partial_dir = Some(dir),
                 None => return ExitCode::FAILURE,
@@ -202,6 +197,10 @@ fn main() -> ExitCode {
                 None => return ExitCode::FAILURE,
             },
             "--capture-events" => opts.capture_events = true,
+            other if other.starts_with("--") && other != "--help" => {
+                eprintln!("unknown option `{other}`; run `yinyang help` for the list");
+                return ExitCode::FAILURE;
+            }
             other => positional.push(other.to_owned()),
         }
         i += 1;
@@ -565,23 +564,13 @@ fn run_fuzz(config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
 }
 
 /// The report tail shared by `fuzz` and `fleet`: telemetry gauges from
-/// the (already exported) global registry, `--metrics-out`, bundles, the
-/// stdout report, and stderr cache stats. Everything here is a pure
-/// function of the [`experiments::Fig8Run`], which is why the fleet
-/// supervisor's output is byte-identical to a single-process run's.
+/// the (already exported) global registry, `--metrics-out`, bundles, and
+/// the stdout report. Everything here is a pure function of the
+/// [`experiments::Fig8Run`], which is why the fleet supervisor's output
+/// is byte-identical to a single-process run's.
 fn emit_fuzz_run(run: experiments::Fig8Run, opts: &CliOpts) -> Result<(), ExitCode> {
-    let cache_stats = run.cache_stats;
     let mut result = run.result;
-    // `pipeline.*` gauges are scheduling-dependent executor introspection
-    // (queue depth, stage occupancy) and only exist when the pipeline ran:
-    // they belong on `/metrics`, never in the byte-compared report, which
-    // must be identical with and without `--no-pipeline`.
-    result.telemetry.gauges.extend(
-        yinyang_rt::metrics::snapshot()
-            .gauges
-            .into_iter()
-            .filter(|(name, _)| !name.starts_with("pipeline.")),
-    );
+    result.telemetry.gauges.extend(yinyang_rt::metrics::snapshot().gauges);
     if let Some(path) = &opts.metrics_out {
         if let Err(e) = std::fs::write(path, run.metrics.to_json().pretty() + "\n") {
             eprintln!("cannot write metrics to {path}: {e}");
@@ -626,13 +615,6 @@ fn emit_fuzz_run(run: experiments::Fig8Run, opts: &CliOpts) -> Result<(), ExitCo
                     if b.reproduced { "" } else { " (oracle not rebuilt; kept fused)" },
                 );
             }
-        }
-    }
-    // Cache stats are scheduling-dependent, so they go to stderr and never
-    // into the (byte-compared) report on stdout.
-    if let Some(stats) = cache_stats {
-        if !opts.quiet {
-            eprintln!("solve cache: {}", stats.render());
         }
     }
     Ok(())
@@ -695,13 +677,6 @@ fn run_fuzz_worker(config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
 fn run_fleet_cmd(config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
     if opts.shards == 0 {
         eprintln!("--shards must be at least 1");
-        return ExitCode::FAILURE;
-    }
-    if config.cache {
-        // Per-worker caches would skip solves (and their coverage probes)
-        // differently than one shared cache, so coverage trajectories
-        // would diverge from the single-process run.
-        eprintln!("fleet does not support --cache; run fuzz --cache single-process instead");
         return ExitCode::FAILURE;
     }
     if trace::time_mode() == yinyang_rt::TimeMode::Wall {
@@ -784,9 +759,6 @@ fn run_regress_cmd(dirs: &[String], config: &CampaignConfig, opts: &CliOpts) -> 
         release: opts.release.clone().unwrap_or_else(|| "trunk".to_owned()),
         threads: config.threads,
         rng_seed: config.rng_seed,
-        cache: config.cache,
-        cache_capacity: config.cache_capacity,
-        pipeline: config.pipeline,
     };
     match yinyang_campaign::run_regress_full(&roots, &regress_config) {
         Ok(run) => {
@@ -800,11 +772,6 @@ fn run_regress_cmd(dirs: &[String], config: &CampaignConfig, opts: &CliOpts) -> 
                 println!("{}", run.report.to_json().pretty());
             } else {
                 print!("{}", yinyang_campaign::render_markdown(&run.report));
-            }
-            if let Some(stats) = run.cache_stats {
-                if !opts.quiet {
-                    eprintln!("solve cache: {}", stats.render());
-                }
             }
             finish_status_server(server);
             ExitCode::SUCCESS
@@ -913,11 +880,20 @@ fn parse_path(args: &[String], i: &mut usize) -> Option<String> {
     }
 }
 
-fn parse_num(args: &[String], i: &mut usize) -> usize {
+/// Consumes the number after a numeric flag. A missing or malformed
+/// value prints one line naming the flag and gives `None`.
+fn parse_num(args: &[String], i: &mut usize) -> Option<usize> {
+    let flag = &args[*i];
     *i += 1;
-    args.get(*i)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("expected a number after {}", args[*i - 1]))
+    let value = args.get(*i);
+    let parsed = value.and_then(|s| s.parse().ok());
+    if parsed.is_none() {
+        match value {
+            Some(value) => eprintln!("{flag} expects a number, got `{value}`"),
+            None => eprintln!("{flag} needs a number"),
+        }
+    }
+    parsed
 }
 
 fn run_exp(which: Option<&str>, config: &CampaignConfig, json: bool) -> ExitCode {

@@ -62,14 +62,12 @@
 
 use crate::campaign::mix64;
 use crate::config::{fast_solver_config, Behavior};
-use crate::solve_cache::{key_text, SolveCache};
 use crate::telemetry::Telemetry;
 use crate::triage::{behavior_kind, canonical_hash};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use yinyang_core::{run_catching, SolverAnswer};
 use yinyang_faults::{releases_of, FaultySolver, SolverId};
-use yinyang_rt::cache::CacheStatsView;
 use yinyang_rt::json::{FromJson, Json};
 use yinyang_rt::{impl_json_struct, metrics, StdRng};
 use yinyang_smtlib::{parse_script, Script};
@@ -86,30 +84,11 @@ pub struct RegressConfig {
     pub threads: usize,
     /// Base seed for the per-bundle RNG streams recorded in the report.
     pub rng_seed: u64,
-    /// Cache solve results keyed on the canonical script text (`--cache`
-    /// on the CLI). Hits replay the cached solve's telemetry exactly, so
-    /// reports stay byte-identical with the cache on or off.
-    pub cache: bool,
-    /// Solve-cache entry bound (`--cache-capacity`). Ignored unless
-    /// [`RegressConfig::cache`] is set.
-    pub cache_capacity: usize,
-    /// Replay through the staged rebuild/solve pipeline
-    /// ([`yinyang_rt::pipeline`]) instead of the lockstep fork/join
-    /// executor; reports are byte-identical either way (`--no-pipeline`
-    /// keeps lockstep as the differential reference).
-    pub pipeline: bool,
 }
 
 impl Default for RegressConfig {
     fn default() -> Self {
-        RegressConfig {
-            release: "trunk".to_owned(),
-            threads: 1,
-            rng_seed: 0xD1CE,
-            cache: false,
-            cache_capacity: 4096,
-            pipeline: true,
-        }
+        RegressConfig { release: "trunk".to_owned(), threads: 1, rng_seed: 0xD1CE }
     }
 }
 
@@ -422,51 +401,20 @@ fn answer_str(answer: &SolverAnswer) -> String {
     }
 }
 
-/// Stage 1 of a replay: rebuild the target solver configuration. Returns
-/// the rebuilt solver (or the stale reason) plus the stage's private
-/// metrics delta, which [`solve_replay`] merges ahead of its own so the
-/// job's total contribution matches the unsplit replay byte for byte.
-fn rebuild_replay(
-    bundle: &LoadedBundle,
-    release: &str,
-    rng_seed: u64,
-) -> (Result<FaultySolver, String>, yinyang_rt::MetricsSnapshot) {
+/// Replays one unique test case against the target build: rebuilds the
+/// finding's solver configuration, runs both scripts on it and classifies
+/// the bundle, all inside one private metrics bracket.
+fn replay_one(bundle: &LoadedBundle, release: &str, rng_seed: u64) -> ReplayResult {
     let before = metrics::local_snapshot();
     // The stream is decorrelated per bundle so future randomized replay
     // modes (input shaking, budget jitter) stay scheduling-independent;
     // today's deterministic solver only draws the recorded seed.
     let _rng = StdRng::seed_from_u64(rng_seed);
-    let solver = rebuild_on_release(bundle, release);
-    (solver, metrics::local_snapshot().delta(&before))
-}
-
-/// Stage 2 of a replay: run both scripts on the rebuilt solver and
-/// classify the bundle.
-fn solve_replay(
-    bundle: &LoadedBundle,
-    solver: Result<FaultySolver, String>,
-    rebuild_metrics: yinyang_rt::MetricsSnapshot,
-    cache: Option<&SolveCache>,
-) -> ReplayResult {
-    let before = metrics::local_snapshot();
-    let mut result = match solver {
+    let mut result = match rebuild_on_release(bundle, release) {
         Ok(solver) => {
             let _span = yinyang_rt::span!("regress.solve", fingerprint = bundle.fingerprint);
-            let solve = |script: &Script| match cache {
-                None => run_catching(&solver, script),
-                Some(cache) => {
-                    let key = key_text(
-                        &yinyang_core::SolverUnderTest::name(&solver),
-                        &bundle.verdict.fixed,
-                        &fast_solver_config(),
-                        "regress.solve",
-                        script,
-                    );
-                    cache.solve(&solver, &key, script)
-                }
-            };
-            let fused_answer = solve(&bundle.fused);
-            let reduced_answer = solve(&bundle.reduced);
+            let fused_answer = run_catching(&solver, &bundle.fused);
+            let reduced_answer = run_catching(&solver, &bundle.reduced);
             let (fused_broken, reduced_broken) = (
                 exhibits(&fused_answer, &bundle.verdict.behavior, &bundle.verdict.oracle),
                 exhibits(&reduced_answer, &bundle.verdict.behavior, &bundle.verdict.oracle),
@@ -497,28 +445,13 @@ fn solve_replay(
         },
     };
     metrics::counter_add(&format!("regress.{}", result.status.as_str()), 1);
-    result.metrics = rebuild_metrics;
-    result.metrics.merge(&metrics::local_snapshot().delta(&before));
+    result.metrics = metrics::local_snapshot().delta(&before);
     result
-}
-
-/// Replays one unique test case against the target build —
-/// [`rebuild_replay`] composed with [`solve_replay`] on one thread, the
-/// lockstep executor's unit of work.
-fn replay_one(
-    bundle: &LoadedBundle,
-    release: &str,
-    rng_seed: u64,
-    cache: Option<&SolveCache>,
-) -> ReplayResult {
-    let (solver, rebuild_metrics) = rebuild_replay(bundle, release, rng_seed);
-    solve_replay(bundle, solver, rebuild_metrics, cache)
 }
 
 /// A regression replay's full output: the byte-stable report plus the
 /// raw merged metrics snapshot behind its condensed telemetry (what
-/// `--metrics-out` dumps, mirroring the fuzz campaign) and the
-/// scheduling-dependent cache counters.
+/// `--metrics-out` dumps, mirroring the fuzz campaign).
 #[derive(Debug, Clone, Default)]
 pub struct RegressRun {
     /// The deterministic report (entries, summary, telemetry).
@@ -527,9 +460,6 @@ pub struct RegressRun {
     /// (`regress.*` counters, `span.regress.*` histograms, solver
     /// statistics), identical across thread counts.
     pub metrics: yinyang_rt::MetricsSnapshot,
-    /// Solve-cache health counters (`None` when the cache was off).
-    /// Stderr-only material: hit/miss order is scheduling-dependent.
-    pub cache_stats: Option<CacheStatsView>,
 }
 
 /// Loads every bundle under `roots`, deduplicates identical reduced test
@@ -540,24 +470,10 @@ pub fn run_regress(roots: &[PathBuf], config: &RegressConfig) -> Result<RegressR
     run_regress_full(roots, config).map(|run| run.report)
 }
 
-/// [`run_regress`], additionally returning the solve cache's health
-/// counters when [`RegressConfig::cache`] is on. The stats are
-/// scheduling-dependent (hit/miss order varies with thread interleaving)
-/// and are deliberately kept out of the byte-diffed [`RegressReport`].
-pub fn run_regress_with_stats(
-    roots: &[PathBuf],
-    config: &RegressConfig,
-) -> Result<(RegressReport, Option<CacheStatsView>), String> {
-    run_regress_full(roots, config).map(|run| (run.report, run.cache_stats))
-}
-
-/// The full replay driver behind [`run_regress`] /
-/// [`run_regress_with_stats`]: also surfaces the raw merged
-/// [`yinyang_rt::MetricsSnapshot`] so the CLI can export replay
+/// The full replay driver behind [`run_regress`]: also surfaces the raw
+/// merged [`yinyang_rt::MetricsSnapshot`] so the CLI can export replay
 /// telemetry (`--metrics-out`) the same way `fuzz` does.
 pub fn run_regress_full(roots: &[PathBuf], config: &RegressConfig) -> Result<RegressRun, String> {
-    let cache = config.cache.then(|| SolveCache::new(config.cache_capacity));
-    let cache = cache.as_ref();
     let driver_before = metrics::local_snapshot();
     let records = load_roots(roots)?;
 
@@ -588,41 +504,16 @@ pub fn run_regress_full(roots: &[PathBuf], config: &RegressConfig) -> Result<Reg
     let job_inputs: Vec<(usize, u64)> = jobs.iter().copied().zip(seeds.iter().copied()).collect();
     let progress = yinyang_rt::serve::progress();
     progress.add_jobs(job_inputs.len() as u64);
-    let bundle_of = |rec: usize| -> &LoadedBundle {
+    let results = yinyang_rt::pool::parallel_map(config.threads, job_inputs, |(rec, seed)| {
         let BundleRecord::Ok(bundle) = &records[rec] else {
             unreachable!("jobs are loaded bundles")
         };
-        bundle
-    };
-    let results = if config.pipeline {
-        // Staged executor: the cheap rebuild stage feeds the expensive
-        // solve stage through the bounded pipeline; results come back in
-        // job order, so the merge below is identical to lockstep.
-        let pipe = yinyang_rt::pipeline::PipelineConfig::for_threads(config.threads);
-        yinyang_rt::pipeline::pipeline_map(
-            &pipe,
-            job_inputs,
-            |(rec, seed)| {
-                let (solver, rebuild_metrics) =
-                    rebuild_replay(bundle_of(rec), &config.release, seed);
-                (rec, solver, rebuild_metrics)
-            },
-            |(rec, solver, rebuild_metrics)| {
-                let result = solve_replay(bundle_of(rec), solver, rebuild_metrics, cache);
-                // Live `/status` job counter only — a relaxed atomic bump
-                // that leaves the job's telemetry bracket and report
-                // bytes untouched.
-                progress.job_done();
-                result
-            },
-        )
-    } else {
-        yinyang_rt::pool::parallel_map(config.threads, job_inputs, |(rec, seed)| {
-            let result = replay_one(bundle_of(rec), &config.release, seed, cache);
-            progress.job_done();
-            result
-        })
-    };
+        let result = replay_one(bundle, &config.release, seed);
+        // Live `/status` job counter only — a relaxed atomic bump that
+        // leaves the job's telemetry bracket and report bytes untouched.
+        progress.job_done();
+        result
+    });
     for r in &results {
         merged.merge(&r.metrics);
     }
@@ -687,7 +578,7 @@ pub fn run_regress_full(roots: &[PathBuf], config: &RegressConfig) -> Result<Reg
         report.entries.push(entry);
     }
     publish_progress(&report);
-    Ok(RegressRun { report, metrics: merged, cache_stats: cache.map(SolveCache::stats) })
+    Ok(RegressRun { report, metrics: merged })
 }
 
 /// Publishes the replay totals to the shared `/status` state under a

@@ -92,9 +92,6 @@ fn help_lists_every_subcommand_and_flag() {
         "--rounds",
         "--seed",
         "--threads",
-        "--no-pipeline",
-        "--cache",
-        "--cache-capacity",
         "--json",
         "--release",
         "--trace",
@@ -119,19 +116,21 @@ fn help_lists_every_subcommand_and_flag() {
     }
 }
 
+/// A misspelled or removed flag, and a number that does not parse, stop
+/// the command before any work: exit 1 (not a panic's 101), nothing on
+/// stdout, and one stderr line naming the argument.
 #[test]
-fn fuzz_cache_flag_reports_stats_on_stderr_only() {
-    let args = ["fuzz", "--iterations", "2", "--rounds", "1", "--seed", "7", "--json"];
-    let off = yinyang().args(args).output().expect("spawn");
-    let on = yinyang().args(args).arg("--cache").output().expect("spawn");
-    assert!(off.status.success() && on.status.success());
-    assert_eq!(off.stdout, on.stdout, "--cache must not change the report bytes");
-    let stderr = String::from_utf8_lossy(&on.stderr);
-    assert!(stderr.contains("solve cache:"), "no cache summary on stderr: {stderr}");
-    assert!(
-        !String::from_utf8_lossy(&off.stderr).contains("solve cache:"),
-        "cache summary printed without --cache"
-    );
+fn fuzz_rejects_unknown_flags_and_malformed_numbers() {
+    for args in [&["--bogus"][..], &["--cache"], &["--no-pipeline"], &["--seed", "abc"]] {
+        let out = yinyang().arg("fuzz").args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "fuzz {args:?}");
+        assert!(out.stdout.is_empty(), "fuzz {args:?} printed a report");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "fuzz {args:?}: {stderr}");
+        for arg in args {
+            assert!(stderr.contains(arg), "fuzz {args:?} does not name `{arg}`: {stderr}");
+        }
+    }
 }
 
 #[test]

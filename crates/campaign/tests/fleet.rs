@@ -181,10 +181,7 @@ fn fleet_status_federates_workers_and_degrades_on_a_dead_shard() {
 
 /// Fleet refuses the modes whose semantics cannot span processes.
 #[test]
-fn fleet_rejects_cache_and_wallclock() {
-    let out = yinyang().args(["fleet", "--shards", "2", "--cache"]).output().expect("spawn");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--cache"));
+fn fleet_rejects_wallclock_and_zero_shards() {
     let out = yinyang().args(["fleet", "--shards", "2", "--wallclock"]).output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--wallclock"));

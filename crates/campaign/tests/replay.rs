@@ -10,8 +10,9 @@
 
 use std::process::Command;
 use yinyang_campaign::config::CampaignConfig;
-use yinyang_campaign::experiments::fig8_campaign;
+use yinyang_campaign::experiments::{fig8_campaign, render_fig8};
 use yinyang_rt::json::ToJson;
+use yinyang_rt::{props, Rng, StdRng};
 
 fn run_cli(args: &[&str]) -> Vec<u8> {
     let out =
@@ -71,24 +72,30 @@ fn parallel_campaigns_replay_byte_identically() {
     assert_eq!(first, second);
 }
 
-#[test]
-fn sequential_and_sharded_campaigns_are_identical() {
-    // Stronger than run-to-run replay: the thread *count* must not leak
-    // into the report either. A round is a flat job list with per-job RNG
-    // streams, and telemetry merges per-job metric deltas in job order, so
-    // `threads: 1` and `threads: 3` — including every counter total and
-    // span histogram — serialize to the same bytes.
-    let sequential = CampaignConfig {
-        iterations: 4,
-        rounds: 2,
-        rng_seed: 0xFACE,
-        threads: 1,
-        ..CampaignConfig::default()
-    };
-    let sharded = CampaignConfig { threads: 3, ..sequential.clone() };
-    let a = fig8_campaign(&sequential).to_json().pretty();
-    let b = fig8_campaign(&sharded).to_json().pretty();
-    assert_eq!(a, b, "thread count must not change the campaign report");
+/// The JSON report and the rendered Fig. 8 markdown of one campaign.
+fn campaign_reports(seed: u64, threads: usize) -> (String, String) {
+    let config =
+        CampaignConfig { iterations: 3, rounds: 2, rng_seed: seed, threads, ..Default::default() };
+    let result = fig8_campaign(&config);
+    (result.to_json().pretty(), render_fig8(&result))
+}
+
+props! {
+    cases: 3;
+
+    fn sequential_and_sharded_campaigns_are_identical(seed in |r: &mut StdRng| r.random_range(0u64..1 << 20)) {
+        // Stronger than run-to-run replay: the thread *count* must not
+        // leak into the report either. A round is a flat job list with
+        // per-job RNG streams, and telemetry merges per-job metric deltas
+        // in job order, so 1, 2 and 4 threads — including every counter
+        // total and span histogram — serialize to the same bytes.
+        let (json_ref, md_ref) = campaign_reports(seed, 1);
+        for threads in [2usize, 4] {
+            let (json, md) = campaign_reports(seed, threads);
+            assert_eq!(json, json_ref, "JSON report differs at {threads} threads (seed {seed})");
+            assert_eq!(md, md_ref, "markdown report differs at {threads} threads (seed {seed})");
+        }
+    }
 }
 
 #[test]

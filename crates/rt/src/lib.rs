@@ -10,11 +10,9 @@
 //! | [`prop`] | `proptest` | property harness with greedy shrinking |
 //! | [`bench`] | `criterion` | wall-clock micro-bench runner (median/p95, JSON) |
 //! | [`json`] | `serde`/`serde_json` | hand-rolled JSON writer/reader |
-//! | [`pool`] | `crossbeam` | `std::thread` + `mpsc` fork/join worker pool |
-//! | [`pipeline`] | `rayon`-style stage graphs | bounded fuse/solve pipeline with a reorder buffer |
+//! | [`pool`] | `crossbeam` | `std::thread` + `mpsc` fork/join pool, the campaign and regress executor |
 //! | [`metrics`] | `prometheus`-alikes | sharded counters/gauges/histograms |
 //! | [`trace`] | `tracing` | replay-safe spans + JSON-lines events |
-//! | [`cache`] | `moka`/`lru`-alikes | sharded bounded result cache with a collision guard |
 //! | [`profile`] | `pprof`-style viewers | span-tree profiles from trace files |
 //! | [`serve`] | `hyper` + exporters | HTTP status server with Prometheus exposition |
 //! | [`export`] | `inferno`/trace viewers | Chrome-trace and flamegraph converters |
@@ -27,11 +25,9 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod cache;
 pub mod export;
 pub mod json;
 pub mod metrics;
-pub mod pipeline;
 pub mod pool;
 pub mod profile;
 pub mod prop;
@@ -40,7 +36,6 @@ pub mod serve;
 pub mod trace;
 
 pub use bench::Criterion;
-pub use cache::{Cache, CacheStatsView};
 pub use metrics::{Histogram, HistogramSummary, MetricsSnapshot};
 pub use profile::{Profile, ProfileNode};
 pub use rng::{Rng, SplitMix64, StdRng};

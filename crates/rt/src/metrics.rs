@@ -417,23 +417,6 @@ pub fn local_snapshot() -> MetricsSnapshot {
     out
 }
 
-/// Merges a stored snapshot's counters and histograms into this thread's
-/// shard, as if the work had been recorded here. Gauges are ignored
-/// (they are global and last-write-wins, never part of per-job deltas).
-/// The solve cache uses this on a hit to replay the cached solve's exact
-/// metrics delta, keeping `local_snapshot`-bracketed jobs byte-identical
-/// with and without caching.
-pub fn merge_local(delta: &MetricsSnapshot) {
-    with_shard(|s| {
-        for (k, v) in &delta.counters {
-            *s.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &delta.histograms {
-            s.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    });
-}
-
 /// Process-wide snapshot: all live shards plus retired-thread totals plus
 /// gauges, merged non-destructively (recording continues unaffected).
 pub fn snapshot() -> MetricsSnapshot {
@@ -573,19 +556,6 @@ mod tests {
         crate::pool::parallel_map(4, items, |_| counter_add(tag, per_item));
         let after = snapshot().counter(tag);
         assert_eq!(after - before, 40 * per_item);
-    }
-
-    #[test]
-    fn merge_local_replays_a_delta_into_this_shard() {
-        let mut stored = MetricsSnapshot::default();
-        stored.counters.insert("test.merge_local.counter".into(), 4);
-        let mut h = Histogram::new();
-        h.record(12);
-        stored.histograms.insert("test.merge_local.hist".into(), h);
-        let before = local_snapshot();
-        merge_local(&stored);
-        let d = local_snapshot().delta(&before);
-        assert_eq!(d, stored, "a merged delta must read back exactly");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! [`parallel_map`] is scoped fork/join over a work list: N workers pull
 //! indexed items off a shared channel and push results back; output order
-//! matches input order. This is what the campaign runner uses to split a
-//! round's iterations across threads.
+//! matches input order. It is the only executor of campaign rounds and
+//! regression replays.
 
 use std::sync::mpsc;
 use std::sync::Mutex;

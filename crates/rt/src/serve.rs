@@ -11,8 +11,8 @@
 //!   (base-2 bounds from [`crate::metrics::bucket_upper`], last bucket
 //!   `+Inf`) plus `_sum` and `_count`.
 //! * `GET /status` — JSON campaign progress: phase, jobs done/total,
-//!   wall-clock throughput, per-persona round/tests/findings breakdown,
-//!   and solve-cache hit rate.
+//!   wall-clock throughput, and per-persona round/tests/findings
+//!   breakdown.
 //! * `GET /healthz` — liveness probe, `ok`.
 //!
 //! A fleet supervisor serves the same three endpoints with federated
@@ -30,8 +30,8 @@
 //! spans, no RNG draws. Reports, `--trace` files, and stdout are
 //! byte-identical with and without a server attached, at any thread
 //! count. The flip side: what the server *serves* is allowed to be
-//! wall-clock-dependent (throughput, live cache hit rates), because none
-//! of it is ever byte-compared. See DESIGN §8.
+//! wall-clock-dependent (throughput), because none of it is ever
+//! byte-compared. See DESIGN §8.
 //!
 //! The accept loop is bounded by construction — one request at a time,
 //! handled inline on the server's own thread with read/write timeouts
@@ -349,25 +349,11 @@ pub struct PersonaProgress {
     pub findings: BTreeMap<String, u64>,
 }
 
-/// Solve-cache counters, as of the last round merge.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheProgress {
-    /// Entries served from the cache.
-    pub hits: u64,
-    /// Lookups that did real work.
-    pub misses: u64,
-    /// Entries evicted by the capacity bound.
-    pub evictions: u64,
-    /// Hash collisions caught by the full-key guard.
-    pub verify_fails: u64,
-}
-
 #[derive(Default)]
 struct ProgressInner {
     phase: String,
     started: Option<Instant>,
     personas: BTreeMap<String, PersonaProgress>,
-    cache: Option<CacheProgress>,
 }
 
 /// Shared campaign progress, written by the driver at job-merge points
@@ -425,11 +411,6 @@ impl CampaignProgress {
         self.inner.lock().expect("progress lock").personas.insert(name.to_owned(), persona);
     }
 
-    /// Updates the solve-cache counters shown by `/status`.
-    pub fn set_cache(&self, cache: CacheProgress) {
-        self.inner.lock().expect("progress lock").cache = Some(cache);
-    }
-
     /// Renders the `/status` document. Wall-clock throughput is fine
     /// here: `/status` is never byte-compared.
     pub fn status_json(&self) -> Json {
@@ -462,20 +443,6 @@ impl CampaignProgress {
                 )
             })
             .collect();
-        let cache = match &inner.cache {
-            None => Json::Null,
-            Some(c) => {
-                let lookups = c.hits + c.misses;
-                let hit_rate = if lookups > 0 { c.hits as f64 / lookups as f64 } else { 0.0 };
-                Json::obj([
-                    ("hits", Json::Int(c.hits as i64)),
-                    ("misses", Json::Int(c.misses as i64)),
-                    ("evictions", Json::Int(c.evictions as i64)),
-                    ("verify_fails", Json::Int(c.verify_fails as i64)),
-                    ("hit_rate", round3(hit_rate)),
-                ])
-            }
-        };
         Json::obj([
             ("phase", Json::Str(inner.phase.clone())),
             ("elapsed_secs", round3(elapsed)),
@@ -485,7 +452,6 @@ impl CampaignProgress {
             ),
             ("tests_per_sec", round3(rate)),
             ("personas", Json::Obj(personas)),
-            ("cache", cache),
         ])
     }
 }
@@ -982,7 +948,6 @@ mod tests {
         let mut persona = PersonaProgress { round: 1, rounds: 3, tests: 9, ..Default::default() };
         persona.findings.insert("crash".into(), 2);
         p.update_persona("zirkon", persona);
-        p.set_cache(CacheProgress { hits: 3, misses: 1, ..Default::default() });
         let status = p.status_json();
         assert_eq!(status.get("phase").and_then(Json::as_str), Some("fuzz"));
         let jobs = status.get("jobs").unwrap();
@@ -994,8 +959,6 @@ mod tests {
             zirkon.get("findings").and_then(|f| f.get("crash")).and_then(Json::as_i64),
             Some(2)
         );
-        let cache = status.get("cache").unwrap();
-        assert_eq!(cache.get("hit_rate").and_then(Json::as_f64), Some(0.75));
         // begin() resets everything.
         p.begin("regress");
         assert_eq!(p.jobs(), (0, 0));

@@ -98,18 +98,6 @@ pub fn now() -> u64 {
     }
 }
 
-/// Reads the current clock *without advancing it* — unlike [`now`], which
-/// consumes a tick in tick mode. Bracketing a computation with two
-/// [`ticks`] reads measures its tick cost without perturbing the clock,
-/// which is what lets the solve cache replay a cached result's exact
-/// duration (via [`work`]) on a hit.
-pub fn ticks() -> u64 {
-    match time_mode() {
-        TimeMode::Ticks => TICKS.with(std::cell::Cell::get),
-        TimeMode::Wall => process_start().elapsed().as_micros() as u64,
-    }
-}
-
 /// Declares `amount` units of work, advancing the virtual clock so that
 /// enclosing spans measure it. A no-op in wall mode (real time already
 /// passed). Instrumented hot loops call this with their iteration or
@@ -291,17 +279,6 @@ pub fn take_events() -> Vec<TraceEvent> {
     EVENTS.with(|e| std::mem::take(&mut *e.borrow_mut()))
 }
 
-/// Appends previously captured events to this thread's buffer, as if the
-/// spans had just closed here. A no-op when capture is off (matching
-/// [`Span`], which buffers nothing then). The solve cache uses this to
-/// replay a cached solve's event slice on a hit, and to re-buffer events
-/// it drained while isolating a miss.
-pub fn replay_events(events: &[TraceEvent]) {
-    if capture_enabled() && !events.is_empty() {
-        EVENTS.with(|e| e.borrow_mut().extend_from_slice(events));
-    }
-}
-
 fn writer() -> &'static Mutex<Option<Box<dyn Write + Send>>> {
     static WRITER: OnceLock<Mutex<Option<Box<dyn Write + Send>>>> = OnceLock::new();
     WRITER.get_or_init(|| Mutex::new(None))
@@ -363,38 +340,6 @@ mod tests {
         let start = now();
         body();
         now().saturating_sub(start)
-    }
-
-    #[test]
-    fn ticks_reads_without_advancing() {
-        set_time_mode(TimeMode::Ticks);
-        let a = ticks();
-        let b = ticks();
-        assert_eq!(a, b, "ticks() must not consume a tick");
-        work(5);
-        assert_eq!(ticks(), a + 5);
-        let _ = now(); // now() does consume one
-        assert_eq!(ticks(), a + 6);
-    }
-
-    #[test]
-    fn replay_events_rebuffers_under_capture_only() {
-        set_time_mode(TimeMode::Ticks);
-        let slice = vec![TraceEvent {
-            name: "test.replay".into(),
-            path: "test.replay".into(),
-            dur: 7,
-            fields: vec![],
-        }];
-        set_capture(false);
-        replay_events(&slice);
-        assert!(take_events().iter().all(|e| e.name != "test.replay"));
-        set_capture(true);
-        replay_events(&slice);
-        let drained = take_events();
-        set_capture(false);
-        let ours: Vec<_> = drained.into_iter().filter(|e| e.name == "test.replay").collect();
-        assert_eq!(ours, slice);
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //! and the driver merges the deltas in job order.
 
 use crate::config::{fast_solver_config, Behavior, CampaignConfig, CampaignOutcome, RawFinding};
-use crate::fleet::{Execution, PartialJob, RoundPartial};
 use crate::telemetry::CoverageRound;
 use std::collections::BTreeSet;
 use yinyang_core::{concat_fuzz, run_catching, Fuser, Oracle, SolverAnswer};
-use yinyang_coverage::{CoverageMap, ProbeKind};
+use yinyang_coverage::ProbeKind;
 use yinyang_faults::{BugClass, BugStatus, FaultySolver, SolverId};
 use yinyang_rt::trace::{self, TraceEvent};
 use yinyang_rt::{metrics, MetricsSnapshot, Rng, StdRng, Stopwatch};
@@ -92,88 +91,34 @@ pub fn run_campaign_with_metrics(
 /// campaigns share the process — see
 /// [`CampaignConfig::coverage_trajectory`]).
 pub fn run_campaign_full(config: &CampaignConfig, solver_id: SolverId) -> CampaignRun {
-    run_campaign_full_exec(config, solver_id, &Execution::Local)
-        .expect("local campaigns have no fleet I/O to fail on")
-}
-
-/// [`run_campaign_full`] parameterized by an [`Execution`]:
-/// the same driver loop runs single-process (`Local`), as a fleet shard
-/// (`Worker`), or as the fleet's merging supervisor (`Supervisor`). Every
-/// mode regenerates rounds and job seeds identically; only *who executes
-/// a job* differs, which is the heart of the fleet determinism argument —
-/// the merged supervisor report is byte-identical to a `Local` run of the
-/// same config. `Err` carries fleet exchange failures (a dead shard, a
-/// barrier timeout, a malformed partial); `Local` never fails.
-pub fn run_campaign_full_exec(
-    config: &CampaignConfig,
-    solver_id: SolverId,
-    exec: &Execution<'_>,
-) -> Result<CampaignRun, String> {
     let mut run = CampaignRun::default();
     let mut fixed: BTreeSet<u32> = BTreeSet::new();
     let watch = Stopwatch::start();
     let coverage_start =
         if config.coverage_trajectory { Some(yinyang_coverage::snapshot()) } else { None };
-    // The supervisor reconstructs the single-process coverage trajectory
-    // from two additive pieces: its own probe deltas (seedgen + triage,
-    // bracketed per round with no gaps) and each round's worker job
-    // deltas from the partials. Per-site hit counts are additive across
-    // processes, so the sum equals what one process would have counted.
-    let mut supervisor_prev =
-        matches!(exec, Execution::Supervisor(_)).then(yinyang_coverage::snapshot);
-    let mut fleet_coverage = CoverageMap::default();
     for round in 0..config.rounds {
-        let mut round_out = run_round(config, solver_id, round, &fixed, exec)?;
-        match exec {
-            Execution::Worker(worker) => {
-                // Triage needs every shard's findings, so it belongs to
-                // the supervisor; this shard discards its driver-thread
-                // trace leftovers and takes the merged fix-and-retest set
-                // from the barrier file before the next round.
-                let _ = trace::take_events();
-                if round + 1 < config.rounds {
-                    fixed = worker.await_fixed(solver_id.name(), round)?;
-                }
-            }
-            Execution::Local | Execution::Supervisor(_) => {
-                // Fix-and-retest: deactivate fixed confirmed bugs for
-                // later rounds.
-                let before = metrics::local_snapshot();
-                {
-                    let _span = yinyang_rt::span!("triage", round = round);
-                    for f in &round_out.outcome.findings {
-                        if let Some(id) = f.bug_id {
-                            let bug = yinyang_faults::registry()
-                                .into_iter()
-                                .find(|b| b.id == id)
-                                .expect("triaged ids come from the registry");
-                            if matches!(bug.status, BugStatus::Confirmed { fixed: true }) {
-                                fixed.insert(id);
-                            }
-                        }
+        let mut round_out = run_round(config, solver_id, round, &fixed);
+        // Fix-and-retest: deactivate fixed confirmed bugs for later rounds.
+        let before = metrics::local_snapshot();
+        {
+            let _span = yinyang_rt::span!("triage", round = round);
+            for f in &round_out.outcome.findings {
+                if let Some(id) = f.bug_id {
+                    let bug = yinyang_faults::registry()
+                        .into_iter()
+                        .find(|b| b.id == id)
+                        .expect("triaged ids come from the registry");
+                    if matches!(bug.status, BugStatus::Confirmed { fixed: true }) {
+                        fixed.insert(id);
                     }
-                }
-                round_out.events.extend(trace::take_events());
-                round_out.metrics.merge(&metrics::local_snapshot().delta(&before));
-                trace::emit_events(&round_out.events);
-                if let Execution::Supervisor(collector) = exec {
-                    collector.publish_fixed(solver_id.name(), round, &fixed)?;
                 }
             }
         }
-        if config.coverage_trajectory {
-            let cumulative = if let Some(prev) = supervisor_prev.as_mut() {
-                let now = yinyang_coverage::snapshot();
-                fleet_coverage.merge(&CoverageMap::from_snapshot(&now.delta(prev)));
-                *prev = now;
-                if let Some(workers) = round_out.worker_coverage.take() {
-                    fleet_coverage.merge(&workers);
-                }
-                fleet_coverage.clone()
-            } else {
-                let start = coverage_start.as_ref().expect("trajectory implies a start snapshot");
-                CoverageMap::from_snapshot(&yinyang_coverage::snapshot().delta(start))
-            };
+        round_out.events.extend(trace::take_events());
+        round_out.metrics.merge(&metrics::local_snapshot().delta(&before));
+        trace::emit_events(&round_out.events);
+        if let Some(start) = &coverage_start {
+            let cumulative = yinyang_coverage::snapshot().delta(start);
             run.coverage_rounds.push(CoverageRound {
                 solver: solver_id.name().to_owned(),
                 round,
@@ -196,7 +141,7 @@ pub fn run_campaign_full_exec(
             heartbeat(solver_id, config, round, &run.outcome, &run.metrics, &watch);
         }
     }
-    Ok(run)
+    run
 }
 
 /// Publishes this persona's cumulative progress to the shared
@@ -301,36 +246,24 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x
 }
 
-/// One round's output, mode-independent in shape: the `Local` and
-/// `Supervisor` paths fill everything; the `Worker` path reports only its
-/// own share (and no forensics — global job indices belong to the
-/// supervisor).
+/// One round's output: findings and counters, the merged telemetry and
+/// trace events, and one forensics record per finding.
 struct RoundOutput {
     outcome: CampaignOutcome,
     metrics: MetricsSnapshot,
     events: Vec<TraceEvent>,
     forensics: Vec<FindingForensics>,
-    /// The round's merged worker coverage delta (`Supervisor` only).
-    worker_coverage: Option<CoverageMap>,
 }
 
 /// One round over all Fig. 7 benchmarks: seed pools are generated on the
-/// driver, then every fused test runs as an independent job. Every
-/// [`Execution`] mode generates the pools and the job list identically —
-/// a job's RNG stream depends only on its flat index, never on who runs
-/// it — and then:
-///
-/// * `Local` runs all jobs here;
-/// * `Worker` runs the shard's own jobs and writes the round partial;
-/// * `Supervisor` runs none, splicing the shards' partials back into
-///   global job order before the usual in-order merge loop.
+/// driver, then every fused test runs as an independent job whose RNG
+/// stream depends only on its flat index, never on which worker runs it.
 fn run_round(
     config: &CampaignConfig,
     solver_id: SolverId,
     round: usize,
     fixed: &BTreeSet<u32>,
-    exec: &Execution<'_>,
-) -> Result<RoundOutput, String> {
+) -> RoundOutput {
     let round_seed = config.rng_seed ^ (round as u64).wrapping_mul(0x9E37_79B9);
     let driver_before = metrics::local_snapshot();
     let pools = {
@@ -359,101 +292,28 @@ fn run_round(
             rng_seed: mix64(round_seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         })
         .collect();
-    let job_count = jobs.len();
     let rng_seeds: Vec<u64> = jobs.iter().map(|j| j.rng_seed).collect();
     let fuser = Fuser::new();
     let progress = yinyang_rt::serve::progress();
-    // `parallel_map` returns results in input order over any job slice,
-    // so `Local` and `Worker` share one dispatcher.
-    let run_jobs = |jobs: Vec<TestJob>| -> Vec<JobResult> {
-        yinyang_rt::pool::parallel_map(config.threads, jobs, |job| {
-            let result = run_test(solver_id, round, fixed, &fuser, &pools, job);
-            // One relaxed atomic bump for the live `/status` job counter —
-            // no locks, metrics, or spans, so the job's telemetry bracket
-            // and the report bytes are untouched.
-            progress.job_done();
-            result
-        })
-    };
-    let (results, worker_coverage): (Vec<JobResult>, Option<CoverageMap>) = match exec {
-        Execution::Local => {
-            progress.add_jobs(job_count as u64);
-            (run_jobs(jobs), None)
-        }
-        Execution::Worker(worker) => {
-            let base = worker.begin_round(job_count);
-            // Shard ownership partitions the flat job list *before* the
-            // executor runs, so each shard runs only its own jobs and
-            // the merged fleet report stays byte-identical.
-            let (owned_indices, owned_jobs): (Vec<usize>, Vec<TestJob>) =
-                jobs.into_iter().enumerate().filter(|(index, _)| worker.owns(base + index)).unzip();
-            progress.add_jobs(owned_jobs.len() as u64);
-            // Bracket only the jobs: the duplicated seedgen above must
-            // not reach the partial's coverage delta, or the supervisor
-            // would count it once per shard.
-            let coverage_before = yinyang_coverage::snapshot();
-            let results = run_jobs(owned_jobs);
-            let coverage =
-                CoverageMap::from_snapshot(&yinyang_coverage::snapshot().delta(&coverage_before));
-            let partial = RoundPartial {
-                solver: solver_id.name().to_owned(),
-                round,
-                shard: worker.shard(),
-                shards: worker.shards(),
-                seed: config.rng_seed,
-                job_count,
-                jobs: owned_indices
-                    .iter()
-                    .zip(&results)
-                    .map(|(&index, r)| PartialJob {
-                        index: base + index,
-                        tests: r.tests,
-                        unknowns: r.unknowns,
-                        fusion_failures: r.fusion_failures,
-                        finding: r.finding.clone(),
-                        metrics: r.metrics.clone(),
-                        events: r.events.clone(),
-                    })
-                    .collect(),
-                coverage,
-            };
-            worker.write_round_partial(&partial)?;
-            (results, None)
-        }
-        Execution::Supervisor(collector) => {
-            let base = collector.begin_round(job_count);
-            progress.add_jobs(job_count as u64);
-            let (partial_jobs, coverage) =
-                collector.collect_round(solver_id.name(), round, job_count, base)?;
-            let results = partial_jobs
-                .into_iter()
-                .map(|p| {
-                    progress.job_done();
-                    JobResult {
-                        tests: p.tests,
-                        unknowns: p.unknowns,
-                        fusion_failures: p.fusion_failures,
-                        finding: p.finding,
-                        events: p.events,
-                        metrics: p.metrics,
-                    }
-                })
-                .collect();
-            (results, Some(coverage))
-        }
-    };
+    progress.add_jobs(jobs.len() as u64);
+    let results = yinyang_rt::pool::parallel_map(config.threads, jobs, |job| {
+        let result = run_test(solver_id, round, fixed, &fuser, &pools, job);
+        // One relaxed atomic bump for the live `/status` job counter —
+        // no locks, metrics, or spans, so the job's telemetry bracket
+        // and the report bytes are untouched.
+        progress.job_done();
+        result
+    });
 
     let mut outcome = CampaignOutcome::default();
     let mut forensics = Vec::new();
     // `parallel_map` preserves input order, so `job_index` here is the
-    // flat index the job's `rng_seed` was derived from. (In worker mode
-    // the enumeration is shard-local, so forensics — which need global
-    // indices — are left to the supervisor.)
+    // flat index the job's `rng_seed` was derived from.
     for (job_index, r) in results.into_iter().enumerate() {
         outcome.stats.tests += r.tests;
         outcome.stats.unknowns += r.unknowns;
         outcome.stats.fusion_failures += r.fusion_failures;
-        if r.finding.is_some() && !matches!(exec, Execution::Worker(_)) {
+        if r.finding.is_some() {
             forensics.push(FindingForensics {
                 round,
                 job_index,
@@ -467,7 +327,7 @@ fn run_round(
         events.extend(r.events);
         round_metrics.merge(&r.metrics);
     }
-    Ok(RoundOutput { outcome, metrics: round_metrics, events, forensics, worker_coverage })
+    RoundOutput { outcome, metrics: round_metrics, events, forensics }
 }
 
 /// One fused test: pick a pair, fuse, solve, check against the oracle.

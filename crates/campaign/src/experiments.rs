@@ -2,9 +2,8 @@
 //! paper's evaluation section, each returning a rendered text table (and
 //! serializable data) with the same rows the paper reports.
 
-use crate::campaign::{run_campaign_full_exec, run_concatfuzz_round, FindingForensics};
+use crate::campaign::{run_campaign_full, run_concatfuzz_round, FindingForensics};
 use crate::config::{fast_solver_config, CampaignConfig, CampaignOutcome};
-use crate::fleet::Execution;
 use crate::telemetry::Telemetry;
 use crate::triage::{representatives, soundness_representatives, triage, Triage};
 use std::collections::BTreeMap;
@@ -90,21 +89,8 @@ pub fn fig8_campaign(config: &CampaignConfig) -> Fig8Result {
 /// (for `--metrics-out`). Coverage trajectories land in
 /// `telemetry.coverage_rounds` when the config asks for them.
 pub fn fig8_campaign_full(config: &CampaignConfig) -> Fig8Run {
-    fig8_campaign_full_exec(config, &Execution::Local)
-        .expect("local campaigns have no fleet I/O to fail on")
-}
-
-/// [`fig8_campaign_full`] parameterized by an [`Execution`], so the same
-/// both-persona pipeline runs single-process, as a fleet shard, or as the
-/// merging fleet supervisor. The `exec` handle is shared across both
-/// persona campaigns — its global job counter must span them for shard
-/// ownership to agree between workers and supervisor.
-pub fn fig8_campaign_full_exec(
-    config: &CampaignConfig,
-    exec: &Execution<'_>,
-) -> Result<Fig8Run, String> {
-    let zirkon = run_campaign_full_exec(config, SolverId::Zirkon, exec)?;
-    let corvus = run_campaign_full_exec(config, SolverId::Corvus, exec)?;
+    let zirkon = run_campaign_full(config, SolverId::Zirkon);
+    let corvus = run_campaign_full(config, SolverId::Corvus);
     let mut all = zirkon.outcome.findings.clone();
     all.extend(corvus.outcome.findings.clone());
     let before = yinyang_rt::metrics::local_snapshot();
@@ -119,12 +105,12 @@ pub fn fig8_campaign_full_exec(
     let mut telemetry = Telemetry::from_snapshot(&merged);
     telemetry.coverage_rounds = zirkon.coverage_rounds;
     telemetry.coverage_rounds.extend(corvus.coverage_rounds);
-    Ok(Fig8Run {
+    Fig8Run {
         result: Fig8Result { zirkon: zirkon.outcome, corvus: corvus.outcome, triage, telemetry },
         metrics: merged,
         zirkon_forensics: zirkon.forensics,
         corvus_forensics: corvus.forensics,
-    })
+    }
 }
 
 /// Renders Fig. 8a/8b/8c from a campaign result, with the paper's values

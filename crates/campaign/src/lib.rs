@@ -11,9 +11,6 @@
 //!   arbitrary persona release and classifies each finding as
 //!   still-broken / fixed / flaky / stale, deduplicating identical
 //!   reduced test cases across campaigns;
-//! * [`fleet`] — `yinyang fleet`: the same campaign sharded over worker
-//!   *processes* with a deterministic report merge and a federated
-//!   supervisor view of every worker's `/metrics` + `/status`;
 //! * [`experiments`] — one entry point per figure: [`experiments::fig7`]
 //!   through [`experiments::fig12`], [`experiments::rq4`],
 //!   [`experiments::throughput`], and the
@@ -28,22 +25,20 @@ pub mod campaign;
 pub mod config;
 pub mod experiments;
 pub mod experiments_md;
-pub mod fleet;
 pub mod forensics;
 pub mod regress;
 pub mod telemetry;
 pub mod triage;
 
 pub use campaign::{
-    run_campaign, run_campaign_full, run_campaign_full_exec, run_campaign_with_metrics,
-    run_concatfuzz_round, CampaignRun, FindingForensics,
+    run_campaign, run_campaign_full, run_campaign_with_metrics, run_concatfuzz_round, CampaignRun,
+    FindingForensics,
 };
 pub use config::{Behavior, CampaignConfig, CampaignOutcome, RawFinding};
-pub use fleet::{Collector, Execution, Fleet, FleetOptions, ShardWorker};
 pub use forensics::{write_bundles, BundleSummary};
 pub use regress::{
-    render_markdown, run_regress, run_regress_full, BundleStatus, RegressConfig, RegressEntry,
-    RegressReport, RegressRun, RegressSummary,
+    render_markdown, render_summary, run_regress, run_regress_full, BundleStatus, RegressConfig,
+    RegressEntry, RegressReport, RegressRun, RegressSummary,
 };
 pub use telemetry::{CoverageRound, Telemetry};
 pub use triage::{fingerprint, triage, Triage};

@@ -13,18 +13,12 @@ use yinyang_solver::SmtSolver;
 const USAGE: &str = "\
 yinyang — semantic-fusion SMT solver fuzzer (PLDI 2020 reproduction)
 
-usage: yinyang <command> [options]
+usage: yinyang <command> [arguments] [options]
 
 commands:
   exp <which>                     regenerate an evaluation figure; <which> is one of
                                   fig7 fig8 fig9 fig10 fig11 fig12 rq4 throughput fp all
   fuzz                            run the bug-finding campaign, print findings
-  fleet                           run the fuzz campaign sharded over --shards
-                                  worker processes; the merged report (and
-                                  --trace file) is byte-identical to a
-                                  single-process fuzz with the same seed, and
-                                  --status-addr serves a federated view of
-                                  every worker's /metrics + /status
   regress <bundle-dir>...         replay fuzz --bundle-dir reproduction bundles
                                   against a solver build (--release) and classify
                                   each as still-broken / fixed / flaky / stale;
@@ -45,25 +39,30 @@ commands:
   trace-check <file.jsonl>        validate a --trace output file: JSON lines plus
                                   the span-stack invariants the exporters rely on
                                   (balanced begin/end, monotone nested durations)
-  help                            print this reference
+  help                            print this reference (also -h, --help)
 
-options:
-  --scale N        Fig. 7 seed inventory scale, 1:N            [default 400]
-  --iterations N   fused tests per (benchmark, oracle) round   [default 30]
-  --rounds N       fix-and-retest rounds                       [default 3]
-  --seed N         RNG seed; same seed replays byte-identically [default 53710]
-  --threads N      worker threads (replay-safe at any count);
-                   0 = auto-detect from the machine's available
-                   parallelism                                  [default 1]
-  --json           print reports as JSON (fuzz embeds a telemetry section;
-                   profile prints the span tree as JSON)
+options (read only by the commands in parentheses):
+  --scale N        (exp, fuzz) Fig. 7 seed inventory scale, 1:N,
+                   N >= 1                                      [default 400]
+  --iterations N   (exp, fuzz) fused tests per (benchmark, oracle)
+                   round                                        [default 30]
+  --rounds N       (exp, fuzz) fix-and-retest rounds            [default 3]
+  --seed N         (exp, fuzz, regress, fuse) RNG seed; same seed
+                   replays byte-identically                  [default 53710]
+  --threads N      (exp, fuzz, regress) worker threads (replay-safe at
+                   any count); 0 = auto-detect from the machine's
+                   available parallelism                        [default 1]
+  --json           (exp, fuzz, regress, profile) print reports as JSON
+                   (fuzz embeds a telemetry section; profile prints the
+                   span tree as JSON)
   --release NAME   (regress) target build: a registry release such as trunk,
                    4.8.5 (zirkon) or 1.5 (corvus), or `reference` for the
                    bug-free solver                              [default trunk]
-  --trace FILE     write one JSON line per span (seedgen/fusion/solve/...) to FILE
-  --bundle-dir DIR write a reproduction bundle per deduplicated fuzz finding:
-                   seeds, fused + ddmin-reduced scripts, verdict/bug/metrics
-                   JSON, and the finding job's trace slice
+  --trace FILE     (exp, fuzz, regress) write one JSON line per span
+                   (seedgen/fusion/solve/...) to FILE
+  --bundle-dir DIR (fuzz) write a reproduction bundle per deduplicated
+                   finding: seeds, fused + ddmin-reduced scripts,
+                   verdict/bug/metrics JSON, and the finding job's trace slice
   --metrics-out FILE
                    (fuzz, regress) dump the run's final merged metrics
                    snapshot as JSON
@@ -79,29 +78,22 @@ options:
                    (export) write collapsed flamegraph stacks
   --lanes N        (export) virtual worker lanes for --chrome-trace; root
                    spans are scheduled greedily across them [default 1]
-  --shards N       (fleet) worker process count                [default 2]
-  --partial-dir DIR
-                   (fleet) exchange directory for worker partial reports
-                   and fix-and-retest barrier files [default under temp]
-  --shard I/N      (fuzz, internal) run as fleet shard I of N: execute only
-                   the jobs whose global index i satisfies i % N == I and
-                   write per-round partials instead of a report
-  --partial-out DIR
-                   (fuzz, internal) where a --shard worker writes partials
-  --capture-events (fuzz, internal) buffer trace events into partials so
-                   the fleet supervisor can write the merged --trace file
   --bench-report FILE
                    (experiments-md) also regenerate the bench block from an
                    rt::bench report.json — machine-dependent, never CI-diffed
   --check          (experiments-md) verify the file is up to date instead of
                    rewriting it; exits non-zero when stale
-  --verbose        per-round campaign heartbeat on stderr
-  --quiet          suppress heartbeat and per-finding listings
-  --wallclock      time spans in real microseconds instead of deterministic
-                   ticks (breaks --seed replay of traced durations)
+  --verbose        (exp, fuzz) per-round campaign heartbeat on stderr
+  --quiet          (exp, fuzz, regress) suppress the heartbeat and the
+                   per-finding listings (regress prints only its summary)
+  --wallclock      (exp, fuzz, regress) time spans in real microseconds
+                   instead of deterministic ticks (breaks --seed replay of
+                   traced durations)
 
-An unknown --option or a malformed number is an error: the command prints
-one line naming it on stderr and exits non-zero before doing any work.
+An unknown command or option, an option the command does not read, an
+argument beyond those the command takes, a malformed number and
+--scale 0 are errors: the command prints one line naming the argument
+on stderr and exits 1 before doing any work.
 ";
 
 fn main() -> ExitCode {
@@ -112,105 +104,28 @@ fn main() -> ExitCode {
         std::panic::set_hook(Box::new(|_| {}));
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = CampaignConfig::default();
-    let mut opts = CliOpts::default();
-    let mut verbose = false;
-    let mut positional: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => match parse_num(&args, &mut i) {
-                Some(n) => config.scale = n,
-                None => return ExitCode::FAILURE,
-            },
-            "--iterations" => match parse_num(&args, &mut i) {
-                Some(n) => config.iterations = n,
-                None => return ExitCode::FAILURE,
-            },
-            "--rounds" => match parse_num(&args, &mut i) {
-                Some(n) => config.rounds = n,
-                None => return ExitCode::FAILURE,
-            },
-            "--seed" => match parse_num(&args, &mut i) {
-                Some(n) => config.rng_seed = n as u64,
-                None => return ExitCode::FAILURE,
-            },
-            "--threads" => match parse_num(&args, &mut i) {
-                Some(n) => config.threads = n,
-                None => return ExitCode::FAILURE,
-            },
-            "--json" => opts.json = true,
-            "--verbose" => verbose = true,
-            "--quiet" => opts.quiet = true,
-            "--check" => opts.check = true,
-            "--wallclock" => trace::set_time_mode(yinyang_rt::TimeMode::Wall),
-            "--trace" => match parse_path(&args, &mut i) {
-                Some(path) => opts.trace_path = Some(path),
-                None => return ExitCode::FAILURE,
-            },
-            "--bundle-dir" => match parse_path(&args, &mut i) {
-                Some(path) => opts.bundle_dir = Some(path),
-                None => return ExitCode::FAILURE,
-            },
-            "--metrics-out" => match parse_path(&args, &mut i) {
-                Some(path) => opts.metrics_out = Some(path),
-                None => return ExitCode::FAILURE,
-            },
-            "--bench-report" => match parse_path(&args, &mut i) {
-                Some(path) => opts.bench_report = Some(path),
-                None => return ExitCode::FAILURE,
-            },
-            "--release" => match parse_path(&args, &mut i) {
-                Some(name) => opts.release = Some(name),
-                None => return ExitCode::FAILURE,
-            },
-            "--status-addr" => match parse_path(&args, &mut i) {
-                Some(addr) => opts.status_addr = Some(addr),
-                None => return ExitCode::FAILURE,
-            },
-            "--chrome-trace" => match parse_path(&args, &mut i) {
-                Some(path) => opts.chrome_trace = Some(path),
-                None => return ExitCode::FAILURE,
-            },
-            "--flamegraph" => match parse_path(&args, &mut i) {
-                Some(path) => opts.flamegraph = Some(path),
-                None => return ExitCode::FAILURE,
-            },
-            "--lanes" => match parse_num(&args, &mut i) {
-                Some(n) => opts.lanes = n,
-                None => return ExitCode::FAILURE,
-            },
-            "--shards" => match parse_num(&args, &mut i) {
-                Some(n) => opts.shards = n,
-                None => return ExitCode::FAILURE,
-            },
-            "--partial-dir" => match parse_path(&args, &mut i) {
-                Some(dir) => opts.partial_dir = Some(dir),
-                None => return ExitCode::FAILURE,
-            },
-            "--shard" => match parse_path(&args, &mut i) {
-                Some(spec) => opts.shard = Some(spec),
-                None => return ExitCode::FAILURE,
-            },
-            "--partial-out" => match parse_path(&args, &mut i) {
-                Some(dir) => opts.partial_out = Some(dir),
-                None => return ExitCode::FAILURE,
-            },
-            "--capture-events" => opts.capture_events = true,
-            other if other.starts_with("--") && other != "--help" => {
-                eprintln!("unknown option `{other}`; run `yinyang help` for the list");
-                return ExitCode::FAILURE;
-            }
-            other => positional.push(other.to_owned()),
-        }
-        i += 1;
+    if args.is_empty() {
+        eprint!("{USAGE}");
+        return ExitCode::FAILURE;
     }
+    let Cli { command, positional, mut config, opts } = match parse_args(&args) {
+        Ok(Some(cli)) => cli,
+        Ok(None) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if config.threads == 0 {
         // `--threads 0`: size the pool to the machine. The count feeds
         // nothing byte-compared — reports are identical at any width.
         config.threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     }
-    config.heartbeat = verbose && !opts.quiet;
+    // `--verbose` turns the heartbeat on and `--quiet` wins over it.
+    config.heartbeat &= !opts.quiet;
     if let Some(path) = &opts.trace_path {
         match std::fs::File::create(path) {
             Ok(file) => {
@@ -223,7 +138,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let code = dispatch(&positional, &config, &opts);
+    let code = dispatch(&command, &positional, &config, &opts);
     // Flush and close the trace sink before exiting.
     trace::set_writer(None);
     code
@@ -243,11 +158,6 @@ struct CliOpts {
     chrome_trace: Option<String>,
     flamegraph: Option<String>,
     lanes: usize,
-    shards: usize,
-    partial_dir: Option<String>,
-    shard: Option<String>,
-    partial_out: Option<String>,
-    capture_events: bool,
 }
 
 impl Default for CliOpts {
@@ -265,35 +175,183 @@ impl Default for CliOpts {
             chrome_trace: None,
             flamegraph: None,
             lanes: 1,
-            shards: 2,
-            partial_dir: None,
-            shard: None,
-            partial_out: None,
-            capture_events: false,
         }
     }
 }
 
-fn dispatch(positional: &[String], config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
-    let json = opts.json;
-    match positional.first().map(String::as_str) {
-        Some("help") | Some("--help") | Some("-h") => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
+/// A parsed command line: the command, its positional arguments, and
+/// the options it was given.
+struct Cli {
+    command: String,
+    positional: Vec<String>,
+    config: CampaignConfig,
+    opts: CliOpts,
+}
+
+/// Every command with the most positional arguments it takes.
+const COMMANDS: &[(&str, usize)] = &[
+    ("help", 0),
+    ("exp", 1),
+    ("fuzz", 0),
+    ("regress", usize::MAX),
+    ("profile", 1),
+    ("export", 1),
+    ("fetch", 2),
+    ("experiments-md", 1),
+    ("solve", 1),
+    ("fuse", 3),
+    ("trace-check", 1),
+];
+
+/// How an option takes its value and where the value goes.
+enum Setter {
+    /// A switch without a value.
+    Switch(fn(&mut CampaignConfig, &mut CliOpts)),
+    /// A non-negative number.
+    Num(fn(&mut CampaignConfig, &mut CliOpts, usize)),
+    /// A path, address or name.
+    Text(fn(&mut CampaignConfig, &mut CliOpts, String)),
+}
+
+/// Every option with the commands that read it (as `dispatch` routes
+/// them) and where its value goes. Any other command refuses the option.
+const FLAGS: &[(&str, &[&str], Setter)] = &[
+    ("--scale", &["exp", "fuzz"], Setter::Num(|c, _, n| c.scale = n)),
+    ("--iterations", &["exp", "fuzz"], Setter::Num(|c, _, n| c.iterations = n)),
+    ("--rounds", &["exp", "fuzz"], Setter::Num(|c, _, n| c.rounds = n)),
+    ("--seed", &["exp", "fuzz", "regress", "fuse"], Setter::Num(|c, _, n| c.rng_seed = n as u64)),
+    ("--threads", &["exp", "fuzz", "regress"], Setter::Num(|c, _, n| c.threads = n)),
+    ("--json", &["exp", "fuzz", "regress", "profile"], Setter::Switch(|_, o| o.json = true)),
+    ("--verbose", &["exp", "fuzz"], Setter::Switch(|c, _| c.heartbeat = true)),
+    ("--quiet", &["exp", "fuzz", "regress"], Setter::Switch(|_, o| o.quiet = true)),
+    (
+        "--wallclock",
+        &["exp", "fuzz", "regress"],
+        Setter::Switch(|_, _| trace::set_time_mode(yinyang_rt::TimeMode::Wall)),
+    ),
+    ("--trace", &["exp", "fuzz", "regress"], Setter::Text(|_, o, v| o.trace_path = Some(v))),
+    ("--bundle-dir", &["fuzz"], Setter::Text(|_, o, v| o.bundle_dir = Some(v))),
+    ("--metrics-out", &["fuzz", "regress"], Setter::Text(|_, o, v| o.metrics_out = Some(v))),
+    ("--status-addr", &["fuzz", "regress"], Setter::Text(|_, o, v| o.status_addr = Some(v))),
+    ("--release", &["regress"], Setter::Text(|_, o, v| o.release = Some(v))),
+    ("--chrome-trace", &["export"], Setter::Text(|_, o, v| o.chrome_trace = Some(v))),
+    ("--flamegraph", &["export"], Setter::Text(|_, o, v| o.flamegraph = Some(v))),
+    ("--lanes", &["export"], Setter::Num(|_, o, n| o.lanes = n)),
+    ("--bench-report", &["experiments-md"], Setter::Text(|_, o, v| o.bench_report = Some(v))),
+    ("--check", &["experiments-md"], Setter::Switch(|_, o| o.check = true)),
+];
+
+/// A command-line argument the command does not take.
+enum ArgError {
+    UnknownCommand(String),
+    UnknownOption(String),
+    NotRead { command: String, option: String },
+    Surplus { command: String, arg: String },
+    MissingValue(String),
+    NotANumber { option: String, value: String },
+    ZeroScale,
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::UnknownCommand(c) if c.starts_with('-') => {
+                write!(f, "the command comes before `{c}`: yinyang <command> [arguments] [options]")
+            }
+            ArgError::UnknownCommand(c) => {
+                write!(f, "unknown command `{c}`; run `yinyang help` for the list")
+            }
+            ArgError::UnknownOption(o) => {
+                write!(f, "unknown option `{o}`; run `yinyang help` for the list")
+            }
+            ArgError::NotRead { command, option } => {
+                write!(f, "`{command}` does not read `{option}`; run `yinyang help` for the list")
+            }
+            ArgError::Surplus { command, arg } => {
+                write!(f, "`{command}` takes no further argument, got `{arg}`")
+            }
+            ArgError::MissingValue(o) => write!(f, "{o} needs a value"),
+            ArgError::NotANumber { option, value } => {
+                write!(f, "{option} expects a number, got `{value}`")
+            }
+            ArgError::ZeroScale => write!(f, "--scale must be at least 1, got `0`"),
         }
-        Some("exp") => run_exp(positional.get(1).map(String::as_str), config, json),
-        Some("fuzz") => run_fuzz(config, opts),
-        Some("fleet") => run_fleet_cmd(config, opts),
-        Some("regress") => run_regress_cmd(&positional[1..], config, opts),
-        Some("profile") => {
-            let Some(path) = positional.get(1) else {
+    }
+}
+
+/// Parses `yinyang <command> [arguments] [options]` against [`COMMANDS`]
+/// and [`FLAGS`]. `Ok(None)` asks for the usage text (`help`, `-h`,
+/// `--help`). No command runs before every argument has been checked.
+fn parse_args(args: &[String]) -> Result<Option<Cli>, ArgError> {
+    let command = args[0].as_str();
+    if matches!(command, "-h" | "--help") {
+        return Ok(None);
+    }
+    let Some(&(_, max_positional)) = COMMANDS.iter().find(|(name, _)| *name == command) else {
+        return Err(ArgError::UnknownCommand(command.to_owned()));
+    };
+    let mut config = CampaignConfig::default();
+    let mut opts = CliOpts::default();
+    let mut positional = Vec::new();
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        if arg == "-h" || arg == "--help" {
+            return Ok(None);
+        }
+        if !arg.starts_with('-') || arg == "-" {
+            if positional.len() == max_positional {
+                return Err(ArgError::Surplus { command: command.to_owned(), arg: arg.clone() });
+            }
+            positional.push(arg.clone());
+            continue;
+        }
+        let Some((_, readers, setter)) = FLAGS.iter().find(|(name, ..)| name == arg) else {
+            return Err(ArgError::UnknownOption(arg.clone()));
+        };
+        if !readers.contains(&command) {
+            return Err(ArgError::NotRead { command: command.to_owned(), option: arg.clone() });
+        }
+        match setter {
+            Setter::Switch(set) => set(&mut config, &mut opts),
+            Setter::Num(set) => {
+                let value = rest.next().ok_or_else(|| ArgError::MissingValue(arg.clone()))?;
+                let n = value.parse().map_err(|_| ArgError::NotANumber {
+                    option: arg.clone(),
+                    value: value.clone(),
+                })?;
+                set(&mut config, &mut opts, n);
+            }
+            Setter::Text(set) => {
+                let value = rest.next().ok_or_else(|| ArgError::MissingValue(arg.clone()))?;
+                set(&mut config, &mut opts, value.clone());
+            }
+        }
+    }
+    if config.scale == 0 {
+        // The seed inventory divides by the scale.
+        return Err(ArgError::ZeroScale);
+    }
+    if command == "help" {
+        return Ok(None);
+    }
+    Ok(Some(Cli { command: command.to_owned(), positional, config, opts }))
+}
+
+fn dispatch(command: &str, args: &[String], config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
+    let json = opts.json;
+    match command {
+        "exp" => run_exp(args.first().map(String::as_str), config, json),
+        "fuzz" => run_fuzz(config, opts),
+        "regress" => run_regress_cmd(args, config, opts),
+        "profile" => {
+            let Some(path) = args.first() else {
                 eprintln!("usage: yinyang profile <file.jsonl>");
                 return ExitCode::FAILURE;
             };
             run_profile(path, json)
         }
-        Some("export") => {
-            let Some(path) = positional.get(1) else {
+        "export" => {
+            let Some(path) = args.first() else {
                 eprintln!(
                     "usage: yinyang export <file.jsonl> [--chrome-trace FILE] \
                      [--flamegraph FILE] [--lanes N]"
@@ -302,8 +360,8 @@ fn dispatch(positional: &[String], config: &CampaignConfig, opts: &CliOpts) -> E
             };
             run_export(path, opts)
         }
-        Some("fetch") => {
-            let (Some(addr), Some(path)) = (positional.get(1), positional.get(2)) else {
+        "fetch" => {
+            let [addr, path] = args else {
                 eprintln!("usage: yinyang fetch <host:port> <path>");
                 return ExitCode::FAILURE;
             };
@@ -333,12 +391,12 @@ fn dispatch(positional: &[String], config: &CampaignConfig, opts: &CliOpts) -> E
                 }
             }
         }
-        Some("experiments-md") => {
-            let path = positional.get(1).map(String::as_str).unwrap_or("EXPERIMENTS.md");
+        "experiments-md" => {
+            let path = args.first().map(String::as_str).unwrap_or("EXPERIMENTS.md");
             run_experiments_md(path, opts)
         }
-        Some("solve") => {
-            let Some(path) = positional.get(1) else {
+        "solve" => {
+            let Some(path) = args.first() else {
                 eprintln!("usage: yinyang solve <file.smt2>");
                 return ExitCode::FAILURE;
             };
@@ -360,14 +418,19 @@ fn dispatch(positional: &[String], config: &CampaignConfig, opts: &CliOpts) -> E
                 }
             }
         }
-        Some("fuse") => {
-            let (Some(oracle), Some(a), Some(b)) =
-                (positional.get(1), positional.get(2), positional.get(3))
-            else {
+        "fuse" => {
+            let [oracle, a, b] = args else {
                 eprintln!("usage: yinyang fuse <sat|unsat> <a.smt2> <b.smt2>");
                 return ExitCode::FAILURE;
             };
-            let oracle = if oracle == "sat" { Oracle::Sat } else { Oracle::Unsat };
+            let oracle = match oracle.as_str() {
+                "sat" => Oracle::Sat,
+                "unsat" => Oracle::Unsat,
+                other => {
+                    eprintln!("fuse: the oracle is `sat` or `unsat`, got `{other}`");
+                    return ExitCode::FAILURE;
+                }
+            };
             let read = |p: &str| std::fs::read_to_string(p).ok();
             let (Some(ta), Some(tb)) = (read(a), read(b)) else {
                 eprintln!("cannot read input files");
@@ -392,17 +455,14 @@ fn dispatch(positional: &[String], config: &CampaignConfig, opts: &CliOpts) -> E
                 }
             }
         }
-        Some("trace-check") => {
-            let Some(path) = positional.get(1) else {
+        "trace-check" => {
+            let Some(path) = args.first() else {
                 eprintln!("usage: yinyang trace-check <file.jsonl>");
                 return ExitCode::FAILURE;
             };
             trace_check(path)
         }
-        _ => {
-            eprint!("{USAGE}");
-            ExitCode::FAILURE
-        }
+        _ => unreachable!("parse_args admits only the commands in COMMANDS"),
     }
 }
 
@@ -540,9 +600,6 @@ fn finish_status_server(server: Option<yinyang_rt::StatusServer>) {
 /// here), plus the forensic outputs behind `--bundle-dir` /
 /// `--metrics-out`.
 fn run_fuzz(config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
-    if opts.shard.is_some() {
-        return run_fuzz_worker(config, opts);
-    }
     let server = match start_status_server(opts, "fuzz") {
         Ok(server) => server,
         Err(code) => return code,
@@ -554,27 +611,12 @@ fn run_fuzz(config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
     // (coverage state is process-global); attach them here, at the
     // report boundary. Totals are scheduling-independent.
     yinyang_coverage::export_metrics(&yinyang_coverage::snapshot());
-    match emit_fuzz_run(run, opts) {
-        Ok(()) => {
-            finish_status_server(server);
-            ExitCode::SUCCESS
-        }
-        Err(code) => code,
-    }
-}
-
-/// The report tail shared by `fuzz` and `fleet`: telemetry gauges from
-/// the (already exported) global registry, `--metrics-out`, bundles, and
-/// the stdout report. Everything here is a pure function of the
-/// [`experiments::Fig8Run`], which is why the fleet supervisor's output
-/// is byte-identical to a single-process run's.
-fn emit_fuzz_run(run: experiments::Fig8Run, opts: &CliOpts) -> Result<(), ExitCode> {
     let mut result = run.result;
     result.telemetry.gauges.extend(yinyang_rt::metrics::snapshot().gauges);
     if let Some(path) = &opts.metrics_out {
         if let Err(e) = std::fs::write(path, run.metrics.to_json().pretty() + "\n") {
             eprintln!("cannot write metrics to {path}: {e}");
-            return Err(ExitCode::FAILURE);
+            return ExitCode::FAILURE;
         }
     }
     let mut bundles = Vec::new();
@@ -587,7 +629,7 @@ fn emit_fuzz_run(run: experiments::Fig8Run, opts: &CliOpts) -> Result<(), ExitCo
             Ok(s) => bundles = s,
             Err(e) => {
                 eprintln!("cannot write bundles to {dir}: {e}");
-                return Err(ExitCode::FAILURE);
+                return ExitCode::FAILURE;
             }
         }
     }
@@ -617,130 +659,8 @@ fn emit_fuzz_run(run: experiments::Fig8Run, opts: &CliOpts) -> Result<(), ExitCo
             }
         }
     }
-    Ok(())
-}
-
-/// A fleet worker (`fuzz --shard I/N --partial-out DIR`): runs the shard's
-/// share of the campaign, writes per-round partials, and prints no report
-/// — the supervisor owns stdout. The worker still serves its own
-/// `--status-addr`, which is what the supervisor federates.
-fn run_fuzz_worker(config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
-    let spec = opts.shard.as_deref().expect("run_fuzz_worker is gated on --shard");
-    let (shard, shards) = match parse_shard_spec(spec) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(dir) = &opts.partial_out else {
-        eprintln!("--shard needs --partial-out DIR to exchange partial reports");
-        return ExitCode::FAILURE;
-    };
-    if opts.capture_events {
-        // The supervisor wants a merged --trace file; buffer this shard's
-        // span events into the partials (there is no local writer, so
-        // nothing is emitted here).
-        trace::set_capture(true);
-    }
-    let server = match start_status_server(opts, "fuzz") {
-        Ok(server) => server,
-        Err(code) => return code,
-    };
-    // Test hook: stall before the campaign so a harness can kill this
-    // worker mid-run deterministically (degraded-health coverage).
-    if let Some(ms) =
-        std::env::var("YINYANG_FLEET_STALL_MS").ok().and_then(|v| v.parse::<u64>().ok())
-    {
-        std::thread::sleep(std::time::Duration::from_millis(ms));
-    }
-    let worker = yinyang_campaign::ShardWorker::new(shard, shards, dir.clone(), config.rng_seed);
-    match experiments::fig8_campaign_full_exec(
-        config,
-        &yinyang_campaign::Execution::Worker(&worker),
-    ) {
-        Ok(_) => {
-            finish_status_server(server);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fleet worker {shard}/{shards}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The `fleet` command: spawn `--shards` worker processes, run the
-/// supervisor merge loop over their partials, and serve the federated
-/// observability endpoints. The merged report and `--trace` file are
-/// byte-identical to a single-process `fuzz` with the same seed.
-fn run_fleet_cmd(config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
-    if opts.shards == 0 {
-        eprintln!("--shards must be at least 1");
-        return ExitCode::FAILURE;
-    }
-    if trace::time_mode() == yinyang_rt::TimeMode::Wall {
-        eprintln!(
-            "fleet does not support --wallclock: wall-clock durations are not comparable \
-                   across processes, so the merged report would not replay"
-        );
-        return ExitCode::FAILURE;
-    }
-    let fleet_opts = yinyang_campaign::FleetOptions {
-        shards: opts.shards,
-        partial_dir: opts.partial_dir.clone(),
-        capture_events: opts.trace_path.is_some(),
-        status_addr: opts.status_addr.clone(),
-    };
-    let mut fleet = match yinyang_campaign::Fleet::launch(config, &fleet_opts) {
-        Ok(fleet) => fleet,
-        Err(e) => {
-            eprintln!("fleet: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let collector = fleet.collector();
-    let mut config = config.clone();
-    config.coverage_trajectory = true;
-    let outcome = experiments::fig8_campaign_full_exec(
-        &config,
-        &yinyang_campaign::Execution::Supervisor(&collector),
-    );
-    let code = match outcome {
-        Ok(run) => {
-            // The single-process run exports its own process-global
-            // coverage here; the supervisor's equivalent is its own
-            // probes (seedgen, triage) plus every worker's job deltas.
-            let mut coverage =
-                yinyang_coverage::CoverageMap::from_snapshot(&yinyang_coverage::snapshot());
-            coverage.merge(&collector.worker_coverage());
-            coverage.export_metrics();
-            match emit_fuzz_run(run, opts) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(code) => code,
-            }
-        }
-        Err(e) => {
-            eprintln!("fleet: {e}");
-            ExitCode::FAILURE
-        }
-    };
-    // Keep the federated endpoints probeable through the hold window even
-    // on failure — a degraded /healthz is exactly what a harness wants to
-    // observe after killing a shard.
-    finish_status_server(fleet.take_server());
-    fleet.shutdown();
-    code
-}
-
-/// Parses a `--shard I/N` spec.
-fn parse_shard_spec(spec: &str) -> Result<(usize, usize), String> {
-    let parsed = spec.split_once('/').and_then(|(i, n)| {
-        let shard: usize = i.parse().ok()?;
-        let shards: usize = n.parse().ok()?;
-        (shards >= 1 && shard < shards).then_some((shard, shards))
-    });
-    parsed.ok_or_else(|| format!("--shard expects I/N with I < N (e.g. 0/2), got {spec}"))
+    finish_status_server(server);
+    ExitCode::SUCCESS
 }
 
 /// The `regress` command: replay reproduction bundles from one or more
@@ -770,6 +690,8 @@ fn run_regress_cmd(dirs: &[String], config: &CampaignConfig, opts: &CliOpts) -> 
             }
             if opts.json {
                 println!("{}", run.report.to_json().pretty());
+            } else if opts.quiet {
+                print!("{}", yinyang_campaign::render_summary(&run.report.summary));
             } else {
                 print!("{}", yinyang_campaign::render_markdown(&run.report));
             }
@@ -865,35 +787,6 @@ fn run_experiments_md(path: &str, opts: &CliOpts) -> ExitCode {
         println!("{path}: regenerated");
         ExitCode::SUCCESS
     }
-}
-
-/// Consumes the argument after a path-taking flag.
-fn parse_path(args: &[String], i: &mut usize) -> Option<String> {
-    let flag = args[*i].clone();
-    *i += 1;
-    match args.get(*i) {
-        Some(path) => Some(path.clone()),
-        None => {
-            eprintln!("{flag} needs a file path");
-            None
-        }
-    }
-}
-
-/// Consumes the number after a numeric flag. A missing or malformed
-/// value prints one line naming the flag and gives `None`.
-fn parse_num(args: &[String], i: &mut usize) -> Option<usize> {
-    let flag = &args[*i];
-    *i += 1;
-    let value = args.get(*i);
-    let parsed = value.and_then(|s| s.parse().ok());
-    if parsed.is_none() {
-        match value {
-            Some(value) => eprintln!("{flag} expects a number, got `{value}`"),
-            None => eprintln!("{flag} needs a number"),
-        }
-    }
-    parsed
 }
 
 fn run_exp(which: Option<&str>, config: &CampaignConfig, json: bool) -> ExitCode {

@@ -625,13 +625,19 @@ pub fn render_markdown(report: &RegressReport) -> String {
             e.dir, e.status, e.fused_answer, e.reduced_answer, note
         ));
     }
-    let s = &report.summary;
-    out.push_str(&format!(
-        "\n{} bundles: {} still-broken, {} fixed, {} flaky, {} stale \
+    out.push('\n');
+    out.push_str(&render_summary(&report.summary));
+    out
+}
+
+/// The one-line tally that ends [`render_markdown`]'s report; `regress
+/// --quiet` prints only this line.
+pub fn render_summary(s: &RegressSummary) -> String {
+    format!(
+        "{} bundles: {} still-broken, {} fixed, {} flaky, {} stale \
          ({} unique replays, {} duplicates merged).\n",
         s.total, s.still_broken, s.fixed, s.flaky, s.stale, s.unique_replays, s.duplicates_merged
-    ));
-    out
+    )
 }
 
 #[cfg(test)]

@@ -73,7 +73,6 @@ fn help_lists_every_subcommand_and_flag() {
     for cmd in [
         "exp",
         "fuzz",
-        "fleet",
         "regress",
         "profile",
         "experiments-md",
@@ -106,13 +105,14 @@ fn help_lists_every_subcommand_and_flag() {
         "--chrome-trace",
         "--flamegraph",
         "--lanes",
-        "--shards",
-        "--partial-dir",
-        "--shard",
-        "--partial-out",
-        "--capture-events",
     ] {
         assert!(text.contains(flag), "help is missing the `{flag}` option");
+    }
+    // `-h` and `--help` print the same reference, also after a command.
+    for args in [&["-h"][..], &["--help"], &["fuzz", "--help"], &["exp", "fig8", "-h"]] {
+        let out = yinyang().args(args).output().expect("spawn");
+        assert!(out.status.success(), "{args:?}");
+        assert_eq!(out.stdout, text.as_bytes(), "{args:?} does not print the reference");
     }
 }
 
@@ -130,6 +130,40 @@ fn fuzz_rejects_unknown_flags_and_malformed_numbers() {
         for arg in args {
             assert!(stderr.contains(arg), "fuzz {args:?} does not name `{arg}`: {stderr}");
         }
+    }
+}
+
+/// An option the command does not read (including the removed fleet
+/// options), an argument beyond those the command takes, a single-dash
+/// option, `--scale 0` and an oracle other than `sat`/`unsat` are refused
+/// the same way: exit 1, nothing on stdout, one stderr line naming the
+/// argument.
+#[test]
+fn arguments_the_command_does_not_take_are_refused() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["fuzz", "--shards", "2"], "--shards"),
+        (&["fuzz", "--shard", "0/2"], "--shard"),
+        (&["fuzz", "--partial-dir", "parts"], "--partial-dir"),
+        (&["fuzz", "--partial-out", "parts"], "--partial-out"),
+        (&["fuzz", "--capture-events"], "--capture-events"),
+        (&["fuzz", "--lanes", "3"], "--lanes"),
+        (&["solve", "f.smt2", "--seed", "4"], "--seed"),
+        (&["export", "t.jsonl", "--json"], "--json"),
+        (&["fuzz", "stray"], "stray"),
+        (&["solve", "f.smt2", "g.smt2"], "g.smt2"),
+        (&["fuzz", "-x"], "-x"),
+        (&["fuzz", "--scale", "0"], "--scale"),
+        (&["exp", "fig7", "--scale", "0"], "--scale"),
+        (&["fuse", "sot", "a.smt2", "b.smt2"], "sot"),
+        (&["fleet", "--shards", "2"], "fleet"),
+    ];
+    for (args, named) in cases {
+        let out = yinyang().args(*args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?} does not name `{named}`: {stderr}");
     }
 }
 
@@ -604,6 +638,10 @@ fn regress_writes_metrics_out_json() {
         .output()
         .expect("spawn");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // --quiet leaves only the summary line of the markdown report.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+    assert!(stdout.contains("still-broken"), "{stdout}");
     let text = std::fs::read_to_string(&path).expect("--metrics-out file exists");
     let v = yinyang_rt::json::Json::parse(text.trim()).expect("metrics JSON parses");
     assert!(v.get("counters").is_some(), "metrics lack counters");

@@ -102,7 +102,9 @@ props! {
 fn trace_files_replay_byte_identically_across_thread_counts() {
     // `--trace` output is part of the replay contract: tick-clock span
     // durations and input-order event merging make the JSON-lines file a
-    // pure function of the seed, for any --threads value.
+    // pure function of the seed, for any --threads value. Two rounds, so
+    // the bytes also cross a fix-and-retest barrier: round 1 runs with
+    // the bugs that round 0's findings fixed.
     let dir = std::env::temp_dir().join("yinyang-replay-trace");
     std::fs::create_dir_all(&dir).unwrap();
     let traces: Vec<std::path::PathBuf> =
@@ -116,9 +118,9 @@ fn trace_files_replay_byte_identically_across_thread_counts() {
                 "--iterations",
                 "2",
                 "--rounds",
-                "1",
+                "2",
                 "--seed",
-                "99",
+                "11",
                 "--threads",
                 threads,
                 "--json",

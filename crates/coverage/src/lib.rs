@@ -48,25 +48,6 @@ pub enum ProbeKind {
 impl ProbeKind {
     /// All kinds, in display order.
     pub const ALL: [ProbeKind; 3] = [ProbeKind::Line, ProbeKind::Function, ProbeKind::Branch];
-
-    /// Short label used in tables (`l`, `f`, `b`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ProbeKind::Line => "l",
-            ProbeKind::Function => "f",
-            ProbeKind::Branch => "b",
-        }
-    }
-
-    /// Inverse of [`ProbeKind::label`].
-    pub fn from_label(label: &str) -> Option<ProbeKind> {
-        match label {
-            "l" => Some(ProbeKind::Line),
-            "f" => Some(ProbeKind::Function),
-            "b" => Some(ProbeKind::Branch),
-            _ => None,
-        }
-    }
 }
 
 /// A probe site: a static name plus kind. Branch probes append `/t` or `/f`.
@@ -125,7 +106,9 @@ impl CoverageSnapshot {
     /// reaches zero are dropped). Because hit counts only grow between
     /// two snapshots of the same process, `start.union(&d) == end` holds
     /// for `d = end.delta(&start)` — campaigns use this to carve their
-    /// own coverage out of the process-global state.
+    /// own coverage out of the process-global state: each point of a
+    /// campaign's per-round coverage trajectory counts the sites and hits
+    /// of `snapshot().delta(&start)`.
     pub fn delta(&self, earlier: &CoverageSnapshot) -> CoverageSnapshot {
         let mut hits = BTreeMap::new();
         for (site, count) in &self.hits {
@@ -213,135 +196,6 @@ pub fn export_metrics(snap: &CoverageSnapshot) {
             &format!("coverage.{name}.hits"),
             snap.count_of_kind(kind) as i64,
         );
-    }
-}
-
-/// An owned, serializable coverage map — the cross-process counterpart
-/// of [`CoverageSnapshot`], whose `&'static str` site keys cannot be
-/// deserialized. Fleet workers ship their per-round job coverage deltas
-/// to the supervisor as `CoverageMap`s; per-site hit counts are
-/// additive, so merging every worker's delta into the supervisor's own
-/// snapshot reconstructs exactly the single-process coverage state
-/// (DESIGN §8).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CoverageMap {
-    hits: BTreeMap<(String, ProbeKind, bool), u64>,
-}
-
-impl CoverageMap {
-    /// Copies a snapshot's sites into owned keys.
-    pub fn from_snapshot(snap: &CoverageSnapshot) -> CoverageMap {
-        let mut hits = BTreeMap::new();
-        for ((name, kind, arm), count) in &snap.hits {
-            hits.insert(((*name).to_owned(), *kind, *arm), *count);
-        }
-        CoverageMap { hits }
-    }
-
-    /// Adds `other`'s per-site counts into this map.
-    pub fn merge(&mut self, other: &CoverageMap) {
-        for (site, count) in &other.hits {
-            *self.hits.entry(site.clone()).or_insert(0) += count;
-        }
-    }
-
-    /// Distinct sites hit, by kind.
-    pub fn hits_of_kind(&self, kind: ProbeKind) -> usize {
-        self.hits.keys().filter(|(_, k, _)| *k == kind).count()
-    }
-
-    /// Total hit count (including repeats) for all sites of a kind.
-    pub fn count_of_kind(&self, kind: ProbeKind) -> u64 {
-        self.hits.iter().filter(|((_, k, _), _)| *k == kind).map(|(_, c)| c).sum()
-    }
-
-    /// Number of distinct sites hit.
-    pub fn len(&self) -> usize {
-        self.hits.len()
-    }
-
-    /// True when nothing has been hit.
-    pub fn is_empty(&self) -> bool {
-        self.hits.is_empty()
-    }
-
-    /// Publishes this map's per-kind site and hit counts as metrics
-    /// gauges, same names as [`export_metrics`].
-    pub fn export_metrics(&self) {
-        for kind in ProbeKind::ALL {
-            let name = match kind {
-                ProbeKind::Line => "lines",
-                ProbeKind::Function => "functions",
-                ProbeKind::Branch => "branches",
-            };
-            yinyang_rt::metrics::gauge_set(
-                &format!("coverage.{name}.sites"),
-                self.hits_of_kind(kind) as i64,
-            );
-            yinyang_rt::metrics::gauge_set(
-                &format!("coverage.{name}.hits"),
-                self.count_of_kind(kind) as i64,
-            );
-        }
-    }
-}
-
-impl yinyang_rt::json::ToJson for CoverageMap {
-    /// `{"sites": [[name, kind-label, arm, count], ...]}` — flat,
-    /// order-stable (BTreeMap iteration), and compact enough for
-    /// per-round partial files.
-    fn to_json(&self) -> yinyang_rt::json::Json {
-        use yinyang_rt::json::Json;
-        let sites = self
-            .hits
-            .iter()
-            .map(|((name, kind, arm), count)| {
-                Json::Arr(vec![
-                    Json::Str(name.clone()),
-                    Json::Str(kind.label().to_owned()),
-                    Json::Bool(*arm),
-                    Json::Int(*count as i64),
-                ])
-            })
-            .collect();
-        Json::obj([("sites", Json::Arr(sites))])
-    }
-}
-
-impl yinyang_rt::json::FromJson for CoverageMap {
-    fn from_json(
-        json: &yinyang_rt::json::Json,
-    ) -> Result<CoverageMap, yinyang_rt::json::JsonError> {
-        use yinyang_rt::json::{Json, JsonError};
-        let err = |message: String| JsonError { pos: 0, message };
-        let sites = json
-            .get("sites")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("coverage map: want {\"sites\": [...]}".to_owned()))?;
-        let mut hits = BTreeMap::new();
-        for entry in sites {
-            let parts = entry.as_arr().filter(|p| p.len() == 4).ok_or_else(|| {
-                err("coverage map: site wants [name, kind, arm, count]".to_owned())
-            })?;
-            let name = parts[0]
-                .as_str()
-                .ok_or_else(|| err("coverage map: site name wants a string".to_owned()))?;
-            let kind = parts[1]
-                .as_str()
-                .and_then(ProbeKind::from_label)
-                .ok_or_else(|| err("coverage map: bad probe kind label".to_owned()))?;
-            let arm = parts[2]
-                .as_bool()
-                .ok_or_else(|| err("coverage map: site arm wants a bool".to_owned()))?;
-            let count = parts[3]
-                .as_i64()
-                .filter(|c| *c > 0)
-                .ok_or_else(|| err("coverage map: site count wants a positive int".to_owned()))?;
-            if hits.insert((name.to_owned(), kind, arm), count as u64).is_some() {
-                return Err(err(format!("coverage map: duplicate site `{name}`")));
-            }
-        }
-        Ok(CoverageMap { hits })
     }
 }
 
@@ -469,33 +323,6 @@ mod tests {
         assert_eq!(d.hits_of_kind(ProbeKind::Function), 1);
         assert_eq!(start.union(&d), end, "delta inverts union");
         assert!(end.delta(&end).is_empty());
-    }
-
-    #[test]
-    fn coverage_map_roundtrips_and_merges_additively() {
-        use yinyang_rt::json::{FromJson, ToJson};
-        let _g = lock_tests();
-        reset();
-        record("t::m1", ProbeKind::Line, true);
-        record("t::m1", ProbeKind::Line, true);
-        let first = snapshot();
-        record("t::m1", ProbeKind::Line, true);
-        record("t::m2", ProbeKind::Branch, false);
-        let end = snapshot();
-
-        // JSON roundtrip is exact.
-        let map = CoverageMap::from_snapshot(&end);
-        let back = CoverageMap::from_json(&map.to_json()).expect("roundtrip");
-        assert_eq!(back, map);
-
-        // Merging the two halves of a process's history equals the whole:
-        // per-site counts are additive, the property the fleet merge
-        // rests on.
-        let mut merged = CoverageMap::from_snapshot(&first);
-        merged.merge(&CoverageMap::from_snapshot(&end.delta(&first)));
-        assert_eq!(merged, map);
-        assert_eq!(merged.count_of_kind(ProbeKind::Line), 3);
-        assert_eq!(merged.hits_of_kind(ProbeKind::Branch), 1);
     }
 
     #[test]

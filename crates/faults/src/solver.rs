@@ -1,5 +1,5 @@
 //! Fault-injected solver personas implementing
-//! [`SolverUnderTest`](yinyang_core::SolverUnderTest).
+//! [`SolverUnderTest`].
 
 use crate::registry::{bugs_of, Action, BugStatus, InjectedBug, SolverId};
 use std::collections::BTreeSet;

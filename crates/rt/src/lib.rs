@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`rng`] | `rand` | SplitMix64 seeding + xoshiro256** streams |
 //! | [`prop`] | `proptest` | property harness with greedy shrinking |
-//! | [`bench`] | `criterion` | wall-clock micro-bench runner (median/p95, JSON) |
+//! | [`bench`](mod@bench) | `criterion` | wall-clock micro-bench runner (median/p95, JSON) |
 //! | [`json`] | `serde`/`serde_json` | hand-rolled JSON writer/reader |
 //! | [`pool`] | `crossbeam` | `std::thread` + `mpsc` fork/join pool, the campaign and regress executor |
 //! | [`metrics`] | `prometheus`-alikes | sharded counters/gauges/histograms |

@@ -91,14 +91,6 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Reassembles a histogram from raw per-bucket counts and a sample
-    /// sum; the count is implied (the sum of the buckets). This is the
-    /// deserialization side of an exposition: the fleet supervisor's
-    /// Prometheus scrape parser rebuilds worker histograms with it.
-    pub fn from_parts(buckets: [u64; BUCKETS], sum: u64) -> Histogram {
-        Histogram { count: buckets.iter().sum(), buckets, sum }
-    }
-
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         self.buckets[bucket_of(value.min(HISTOGRAM_CAP))] += 1;

@@ -15,14 +15,6 @@
 //!   breakdown.
 //! * `GET /healthz` — liveness probe, `ok`.
 //!
-//! A fleet supervisor serves the same three endpoints with federated
-//! content instead: it scrapes each worker's `/metrics` (parsed back
-//! into a [`MetricsSnapshot`] by [`parse_prometheus`]) and renders the
-//! lot with a `shard` label per worker series plus unlabeled totals via
-//! [`render_prometheus_fleet`]. [`StatusServer::start_with_handler`]
-//! is the hook that lets it swap the endpoint bodies without owning a
-//! second HTTP implementation.
-//!
 //! ## Off the determinism path
 //!
 //! The server is strictly read-only: it renders snapshots of state the
@@ -44,7 +36,7 @@
 //! promptly: the accept loop re-checks a stop flag after every
 //! connection, and shutdown wakes it with a loopback connection.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,27 +93,17 @@ fn write_header(out: &mut String) {
 }
 
 /// Writes one histogram as a cumulative `_bucket{le="..."}` series plus
-/// `_sum`/`_count`, optionally carrying an extra label pair (the fleet
-/// renderer passes `shard="i"`).
-fn write_histogram_series(out: &mut String, name: &str, label: Option<&str>, h: &Histogram) {
+/// `_sum`/`_count`.
+fn write_histogram_series(out: &mut String, name: &str, h: &Histogram) {
     use std::fmt::Write as _;
     let mut cumulative = 0u64;
     for (i, count) in h.bucket_counts().iter().enumerate() {
         cumulative += count;
         let le = if i == BUCKETS - 1 { "+Inf".to_owned() } else { bucket_upper(i).to_string() };
-        let _ = match label {
-            Some(l) => writeln!(out, "{name}_bucket{{{l},le=\"{le}\"}} {cumulative}"),
-            None => writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}"),
-        };
+        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
     }
-    let _ = match label {
-        Some(l) => writeln!(out, "{name}_sum{{{l}}} {}", h.sum()),
-        None => writeln!(out, "{name}_sum {}", h.sum()),
-    };
-    let _ = match label {
-        Some(l) => writeln!(out, "{name}_count{{{l}}} {}", h.count()),
-        None => writeln!(out, "{name}_count {}", h.count()),
-    };
+    let _ = writeln!(out, "{name}_sum {}", h.sum());
+    let _ = writeln!(out, "{name}_count {}", h.count());
 }
 
 /// Renders a [`MetricsSnapshot`] in the Prometheus text exposition
@@ -147,187 +129,9 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
     for (name, histogram) in &snapshot.histograms {
         let prom = sanitize_metric_name(name);
         write_meta(&mut out, &prom, "histogram", &format!("Registry histogram `{name}`."));
-        write_histogram_series(&mut out, &prom, None, histogram);
+        write_histogram_series(&mut out, &prom, histogram);
     }
     out
-}
-
-/// Renders the federated fleet exposition: one `yinyang_shard_up`
-/// sample per scraped worker, then every metric as per-shard series
-/// carrying a `shard="i"` label plus — for counters and histograms,
-/// whose merge is a plain sum — an unlabeled fleet total. Gauges are
-/// per-process levels (coverage site counts, build info), so they stay
-/// per-shard only; summing them would fabricate a number no process
-/// ever reported.
-pub fn render_prometheus_fleet(shards: &[(String, MetricsSnapshot)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    write_header(&mut out);
-    if !shards.is_empty() {
-        write_meta(
-            &mut out,
-            "yinyang_shard_up",
-            "gauge",
-            "1 for every worker shard the supervisor has scraped.",
-        );
-        for (shard, _) in shards {
-            let _ = writeln!(out, "yinyang_shard_up{{shard=\"{shard}\"}} 1");
-        }
-    }
-    let mut total = MetricsSnapshot::default();
-    for (_, snapshot) in shards {
-        total.merge(snapshot);
-    }
-    for (name, total_value) in &total.counters {
-        let prom = sanitize_metric_name(name);
-        write_meta(
-            &mut out,
-            &prom,
-            "counter",
-            &format!("Fleet counter `{name}`: per-shard series plus unlabeled total."),
-        );
-        for (shard, snapshot) in shards {
-            if let Some(value) = snapshot.counters.get(name) {
-                let _ = writeln!(out, "{prom}{{shard=\"{shard}\"}} {value}");
-            }
-        }
-        let _ = writeln!(out, "{prom} {total_value}");
-    }
-    let gauge_names: BTreeSet<&String> = shards.iter().flat_map(|(_, s)| s.gauges.keys()).collect();
-    for name in gauge_names {
-        let prom = sanitize_metric_name(name);
-        write_meta(
-            &mut out,
-            &prom,
-            "gauge",
-            &format!("Fleet gauge `{name}`: per-shard series (per-process level, not summed)."),
-        );
-        for (shard, snapshot) in shards {
-            if let Some(value) = snapshot.gauges.get(name) {
-                let _ = writeln!(out, "{prom}{{shard=\"{shard}\"}} {value}");
-            }
-        }
-    }
-    for (name, total_histogram) in &total.histograms {
-        let prom = sanitize_metric_name(name);
-        write_meta(
-            &mut out,
-            &prom,
-            "histogram",
-            &format!("Fleet histogram `{name}`: per-shard series plus unlabeled total."),
-        );
-        for (shard, snapshot) in shards {
-            if let Some(histogram) = snapshot.histograms.get(name) {
-                write_histogram_series(
-                    &mut out,
-                    &prom,
-                    Some(&format!("shard=\"{shard}\"")),
-                    histogram,
-                );
-            }
-        }
-        write_histogram_series(&mut out, &prom, None, total_histogram);
-    }
-    out
-}
-
-/// Parses a Prometheus text exposition produced by [`render_prometheus`]
-/// back into a [`MetricsSnapshot`] — the supervisor side of the fleet
-/// scrape. Histogram buckets arrive cumulative and come back as
-/// per-bucket counts (the series must be monotone and carry all
-/// [`BUCKETS`] entries); `yinyang_up`, `yinyang_build_info`, and
-/// `yinyang_shard_up` are exposition furniture, not registry metrics,
-/// and are skipped. Names come back sanitized (`span_solve`, not
-/// `span.solve`): the result feeds the federated re-render, never a
-/// report merge, and [`sanitize_metric_name`] is idempotent on it.
-pub fn parse_prometheus(text: &str) -> Result<MetricsSnapshot, String> {
-    struct HistAcc {
-        cumulative: Vec<u64>,
-        sum: u64,
-    }
-    let mut kinds: BTreeMap<String, String> = BTreeMap::new();
-    let mut hists: BTreeMap<String, HistAcc> = BTreeMap::new();
-    let mut snapshot = MetricsSnapshot::default();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        let err = |what: &str| format!("line {}: {what}: `{raw}`", lineno + 1);
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split_whitespace();
-            match (it.next(), it.next()) {
-                (Some(name), Some(kind)) => {
-                    kinds.insert(name.to_owned(), kind.to_owned());
-                }
-                _ => return Err(err("malformed TYPE line")),
-            }
-            continue;
-        }
-        if line.starts_with('#') {
-            continue; // HELP and comments
-        }
-        let (series, value) = line.rsplit_once(' ').ok_or_else(|| err("malformed sample"))?;
-        let name = match series.split_once('{') {
-            Some((name, labels)) if labels.ends_with('}') => name,
-            Some(_) => return Err(err("unterminated label set")),
-            None => series,
-        };
-        if matches!(name, "yinyang_up" | "yinyang_build_info" | "yinyang_shard_up") {
-            continue;
-        }
-        let is_hist = |base: &str| kinds.get(base).map(String::as_str) == Some("histogram");
-        if let Some(base) = name.strip_suffix("_bucket").filter(|b| is_hist(b)) {
-            let count: u64 = value.parse().map_err(|_| err("non-integer bucket count"))?;
-            let acc = hists
-                .entry(base.to_owned())
-                .or_insert_with(|| HistAcc { cumulative: Vec::new(), sum: 0 });
-            if acc.cumulative.len() >= BUCKETS {
-                return Err(err("too many bucket entries"));
-            }
-            acc.cumulative.push(count);
-            continue;
-        }
-        if let Some(base) = name.strip_suffix("_sum").filter(|b| is_hist(b)) {
-            let sum: u64 = value.parse().map_err(|_| err("non-integer histogram sum"))?;
-            hists
-                .entry(base.to_owned())
-                .or_insert_with(|| HistAcc { cumulative: Vec::new(), sum: 0 })
-                .sum = sum;
-            continue;
-        }
-        if name.strip_suffix("_count").filter(|b| is_hist(b)).is_some() {
-            continue; // implied by the bucket series
-        }
-        match kinds.get(name).map(String::as_str) {
-            Some("gauge") => {
-                let v: i64 = value.parse().map_err(|_| err("non-integer gauge value"))?;
-                snapshot.gauges.insert(name.to_owned(), v);
-            }
-            _ => {
-                let v: u64 = value.parse().map_err(|_| err("non-integer counter value"))?;
-                snapshot.counters.insert(name.to_owned(), v);
-            }
-        }
-    }
-    for (name, acc) in hists {
-        if acc.cumulative.len() != BUCKETS {
-            return Err(format!(
-                "histogram `{name}` has {} bucket entries, want {BUCKETS}",
-                acc.cumulative.len()
-            ));
-        }
-        let mut buckets = [0u64; BUCKETS];
-        let mut last = 0u64;
-        for (i, cumulative) in acc.cumulative.iter().enumerate() {
-            buckets[i] = cumulative
-                .checked_sub(last)
-                .ok_or_else(|| format!("histogram `{name}` bucket series is not monotone"))?;
-            last = *cumulative;
-        }
-        snapshot.histograms.insert(name, Histogram::from_parts(buckets, acc.sum));
-    }
-    Ok(snapshot)
 }
 
 // ---------------------------------------------------------------------------
@@ -468,13 +272,6 @@ const MAX_HEADER_LINE: usize = 8 * 1024;
 /// Most header lines accepted before the server answers 431.
 const MAX_HEADERS: usize = 128;
 
-/// An endpoint handler: maps `(method, target)` onto
-/// `(status line, content type, body)`. [`StatusServer::start`] uses the
-/// built-in campaign endpoints; a fleet supervisor passes its own via
-/// [`StatusServer::start_with_handler`] to serve federated content over
-/// the same (hardened) HTTP loop.
-pub type Handler = Arc<dyn Fn(&str, &str) -> (&'static str, &'static str, String) + Send + Sync>;
-
 /// Handle to a running status server. Dropping it (or calling
 /// [`StatusServer::shutdown`]) stops the accept loop and joins the
 /// server thread.
@@ -489,12 +286,6 @@ impl StatusServer {
     /// starts serving the built-in campaign endpoints on a dedicated
     /// thread.
     pub fn start(addr: &str) -> std::io::Result<StatusServer> {
-        StatusServer::start_with_handler(addr, Arc::new(respond))
-    }
-
-    /// Like [`StatusServer::start`], but with a caller-supplied endpoint
-    /// handler (the fleet supervisor's federated view).
-    pub fn start_with_handler(addr: &str, handler: Handler) -> std::io::Result<StatusServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -506,7 +297,7 @@ impl StatusServer {
                         break;
                     }
                     if let Ok(stream) = stream {
-                        let _ = handle_client(stream, &handler);
+                        let _ = handle_client(stream);
                     }
                 }
             })?;
@@ -590,7 +381,7 @@ fn drain_request(reader: &mut impl BufRead) {
     }
 }
 
-fn handle_client(stream: TcpStream, handler: &Handler) -> std::io::Result<()> {
+fn handle_client(stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
@@ -642,7 +433,7 @@ fn handle_client(stream: TcpStream, handler: &Handler) -> std::io::Result<()> {
             "malformed request line\n",
         );
     }
-    let (status, content_type, body) = handler(method, target);
+    let (status, content_type, body) = respond(method, target);
     write_response(reader.into_inner(), status, content_type, &body)
 }
 
@@ -681,18 +472,12 @@ fn respond(method: &str, target: &str) -> (&'static str, &'static str, String) {
 }
 
 /// A plain-`TcpStream` HTTP/1.1 GET (the `yinyang fetch` subcommand and
-/// the CI smoke gate use this instead of curl). Returns the status code
-/// and body. One connect attempt; see [`http_get_retry`] for the
-/// backoff variant used against just-spawned servers.
-pub fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
-    http_get_retry(addr, path, 1, Duration::ZERO)
-}
-
-/// [`http_get`] with a bounded connect retry: up to `attempts` connects,
-/// sleeping `backoff` between them, retrying *only* connection-refused
-/// (the port isn't listening yet — the one transient failure a
-/// just-spawned server produces). Any other error, and any failure after
-/// a connect succeeds, is returned immediately.
+/// the CI smoke gate use this instead of curl), returning the status code
+/// and body. Makes up to `attempts` connects, sleeping `backoff` between
+/// them, and retries *only* connection-refused (the port isn't listening
+/// yet — the one transient failure a just-spawned server produces). Any
+/// other error, and any failure after a connect succeeds, is returned
+/// immediately.
 pub fn http_get_retry(
     addr: &str,
     path: &str,
@@ -862,81 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_prometheus_roundtrips_a_rendered_snapshot() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 7, 7, 300, 1 << 20] {
-            h.record(v);
-        }
-        let mut snap = MetricsSnapshot::default();
-        // Names already on the Prometheus charset, so sanitize is a
-        // no-op and the roundtrip is exact.
-        snap.counters.insert("fusion_attempts".into(), 42);
-        snap.counters.insert("tests_total".into(), 9001);
-        snap.gauges.insert("coverage_lines".into(), -3);
-        snap.gauges.insert("pool_threads".into(), 8);
-        snap.histograms.insert("span_solve".into(), h);
-        let parsed = parse_prometheus(&render_prometheus(&snap)).expect("parse");
-        assert_eq!(parsed, snap);
-        // And the reparse of the re-render too (idempotence).
-        assert_eq!(parse_prometheus(&render_prometheus(&parsed)).expect("reparse"), parsed);
-    }
-
-    #[test]
-    fn parse_prometheus_rejects_garbage() {
-        assert!(parse_prometheus("not a metric at all").is_err());
-        assert!(parse_prometheus("x{unterminated 3").is_err());
-        // A declared histogram with a short bucket series is an error.
-        let text = "# TYPE h histogram\nh_bucket{le=\"0\"} 1\nh_sum 0\nh_count 1\n";
-        assert!(parse_prometheus(text).unwrap_err().contains("bucket entries"));
-        // Non-monotone cumulative series.
-        let mut text = String::from("# TYPE h histogram\n");
-        for i in 0..BUCKETS {
-            let le = if i == BUCKETS - 1 { "+Inf".to_owned() } else { bucket_upper(i).to_string() };
-            let count = if i == 5 { 0 } else { 10 };
-            text.push_str(&format!("h_bucket{{le=\"{le}\"}} {count}\n"));
-        }
-        assert!(parse_prometheus(&text).unwrap_err().contains("monotone"));
-    }
-
-    #[test]
-    fn fleet_rendering_labels_shards_and_sums_totals() {
-        let mut h0 = Histogram::new();
-        h0.record(1);
-        let mut h1 = Histogram::new();
-        h1.record(1);
-        h1.record(100);
-        let mut s0 = MetricsSnapshot::default();
-        s0.counters.insert("tests.total".into(), 4);
-        s0.gauges.insert("coverage.lines".into(), 7);
-        s0.histograms.insert("span.solve".into(), h0);
-        let mut s1 = MetricsSnapshot::default();
-        s1.counters.insert("tests.total".into(), 6);
-        s1.gauges.insert("coverage.lines".into(), 9);
-        s1.histograms.insert("span.solve".into(), h1);
-        let text = render_prometheus_fleet(&[("0".to_owned(), s0), ("1".to_owned(), s1)]);
-        // Liveness per shard.
-        assert!(text.contains("yinyang_shard_up{shard=\"0\"} 1\n"), "{text}");
-        assert!(text.contains("yinyang_shard_up{shard=\"1\"} 1\n"), "{text}");
-        // Counters: labeled series plus unlabeled sum.
-        assert!(text.contains("tests_total{shard=\"0\"} 4\n"), "{text}");
-        assert!(text.contains("tests_total{shard=\"1\"} 6\n"), "{text}");
-        assert!(text.contains("\ntests_total 10\n"), "{text}");
-        // Gauges: per-shard only, never summed.
-        assert!(text.contains("coverage_lines{shard=\"0\"} 7\n"), "{text}");
-        assert!(text.contains("coverage_lines{shard=\"1\"} 9\n"), "{text}");
-        assert!(!text.contains("\ncoverage_lines 16\n"), "{text}");
-        // Histograms: labeled bucket series plus an unlabeled merged one.
-        assert!(text.contains("span_solve_bucket{shard=\"1\",le=\"+Inf\"} 2\n"), "{text}");
-        assert!(text.contains("span_solve_bucket{le=\"+Inf\"} 3\n"), "{text}");
-        assert!(text.contains("span_solve_count{shard=\"0\"} 1\n"), "{text}");
-        assert!(text.contains("\nspan_solve_count 3\n"), "{text}");
-        assert!(text.contains("\nspan_solve_sum 102\n"), "{text}");
-        // Metadata renders once per metric, not per shard.
-        assert_eq!(text.matches("# TYPE tests_total counter").count(), 1, "{text}");
-        assert_eq!(text.matches("# TYPE span_solve histogram").count(), 1, "{text}");
-    }
-
-    #[test]
     fn progress_tracks_jobs_and_personas() {
         let p = CampaignProgress::default();
         p.begin("fuzz");
@@ -977,21 +687,21 @@ mod tests {
         let server = StatusServer::start("127.0.0.1:0").expect("bind");
         let addr = server.local_addr().to_string();
 
-        let (code, body) = http_get(&addr, "/healthz").unwrap();
+        let (code, body) = http_get_retry(&addr, "/healthz", 1, Duration::ZERO).unwrap();
         assert_eq!((code, body.as_str()), (200, "ok\n"));
 
-        let (code, body) = http_get(&addr, "/metrics").unwrap();
+        let (code, body) = http_get_retry(&addr, "/metrics", 1, Duration::ZERO).unwrap();
         assert_eq!(code, 200);
         assert!(body.contains("test_serve_counter 5"), "{body}");
         assert!(body.contains("# TYPE test_serve_hist histogram"), "{body}");
         assert!(body.contains("test_serve_hist_bucket{le=\"+Inf\"}"), "{body}");
 
-        let (code, body) = http_get(&addr, "/status").unwrap();
+        let (code, body) = http_get_retry(&addr, "/status", 1, Duration::ZERO).unwrap();
         assert_eq!(code, 200);
         let status = Json::parse(&body).expect("status is JSON");
         assert!(status.get("jobs").is_some(), "{body}");
 
-        let (code, _) = http_get(&addr, "/nope").unwrap();
+        let (code, _) = http_get_retry(&addr, "/nope", 1, Duration::ZERO).unwrap();
         assert_eq!(code, 404);
 
         server.shutdown();
@@ -1040,7 +750,7 @@ mod tests {
         drop(TcpStream::connect(&addr).expect("connect"));
 
         // After all of the above, the accept loop still answers.
-        let (code, body) = http_get(&addr, "/healthz").unwrap();
+        let (code, body) = http_get_retry(&addr, "/healthz", 1, Duration::ZERO).unwrap();
         assert_eq!((code, body.as_str()), (200, "ok\n"));
         server.shutdown();
     }
@@ -1053,7 +763,7 @@ mod tests {
         let addr = probe.local_addr().unwrap().to_string();
         drop(probe);
         // Single attempt fails fast while nothing listens.
-        assert!(http_get(&addr, "/healthz").is_err());
+        assert!(http_get_retry(&addr, "/healthz", 1, Duration::ZERO).is_err());
         let bind_addr = addr.clone();
         let server = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(150));

@@ -129,7 +129,7 @@ pub struct TraceEvent {
     /// `"solve/strings.search"`), recording where in the span tree the
     /// event fired. Always ends in `name`.
     pub path: String,
-    /// Duration in [`unit`] units.
+    /// Duration in [`unit`](fn@unit) units.
     pub dur: u64,
     /// Call-site fields, stringified, in declaration order.
     pub fields: Vec<(String, String)>,
@@ -147,54 +147,6 @@ impl ToJson for TraceEvent {
             members.push((k.clone(), Json::Str(v.clone())));
         }
         Json::Obj(members)
-    }
-}
-
-impl crate::json::FromJson for TraceEvent {
-    fn from_json(json: &Json) -> Result<TraceEvent, crate::json::JsonError> {
-        let err = |message: String| crate::json::JsonError { pos: 0, message };
-        let members = json.as_obj().ok_or_else(|| err("trace event: want an object".to_owned()))?;
-        let mut event =
-            TraceEvent { name: String::new(), path: String::new(), dur: 0, fields: Vec::new() };
-        let mut have = (false, false, false);
-        for (key, value) in members {
-            match key.as_str() {
-                "span" => {
-                    event.name = value
-                        .as_str()
-                        .ok_or_else(|| err("trace event: `span` wants a string".to_owned()))?
-                        .to_owned();
-                    have.0 = true;
-                }
-                "path" => {
-                    event.path = value
-                        .as_str()
-                        .ok_or_else(|| err("trace event: `path` wants a string".to_owned()))?
-                        .to_owned();
-                    have.1 = true;
-                }
-                "dur" => {
-                    let dur = value.as_i64().filter(|d| *d >= 0).ok_or_else(|| {
-                        err("trace event: `dur` wants a non-negative int".to_owned())
-                    })?;
-                    event.dur = dur as u64;
-                    have.2 = true;
-                }
-                // The clock label is re-derived from the active mode on
-                // every serialization, not round-tripped.
-                "unit" => {}
-                _ => {
-                    let text = value
-                        .as_str()
-                        .ok_or_else(|| err(format!("trace event: field `{key}` wants a string")))?;
-                    event.fields.push((key.clone(), text.to_owned()));
-                }
-            }
-        }
-        if have != (true, true, true) {
-            return Err(err("trace event: missing span/path/dur".to_owned()));
-        }
-        Ok(event)
     }
 }
 

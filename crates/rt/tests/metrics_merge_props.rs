@@ -1,16 +1,17 @@
-//! Property: the fleet merge law for metrics snapshots.
+//! Property: the partition merge law for metrics snapshots.
 //!
-//! `yinyang fleet` partitions a round's job list over worker processes by
-//! `index % shards` and each worker accumulates its own jobs' metric
-//! deltas in job order. The supervisor's report is only byte-identical to
-//! the single-process run if merging those shard-local snapshots — in
-//! shard order — reproduces the snapshot a single process builds by
-//! merging every job delta in global job order: every counter, every
-//! gauge, and every histogram bucket. Counters and histogram buckets are
-//! additive (order-free); gauges are last-write-wins and therefore only
-//! merge-order-safe when applied identically on both sides, which is how
-//! the campaign uses them (set once at the report boundary, never inside
-//! job deltas).
+//! A campaign round is a flat job list, and each job returns its private
+//! metrics delta. Split the jobs into parts by `index % parts`, merge
+//! each part's deltas in job order, then merge the part snapshots in part
+//! order: the result must equal the snapshot built by merging every job
+//! delta in global job order — every counter, every gauge, and every
+//! histogram bucket. So the merged telemetry does not depend on how the
+//! jobs are partitioned, which is what lets a driver merge jobs in any
+//! grouping, such as the rounds in flight of a round-barrier executor.
+//! Counters and histogram buckets are additive (order-free); gauges are
+//! last-write-wins and therefore only merge-order-safe when applied
+//! identically on both sides, which is how the campaign uses them (set
+//! once at the report boundary, never inside job deltas).
 
 use yinyang_rt::{props, MetricsSnapshot, Rng, StdRng};
 
@@ -39,54 +40,54 @@ fn random_job_delta(rng: &mut StdRng) -> MetricsSnapshot {
     delta
 }
 
-/// Gauges are applied at the report boundary, identically in fleet and
-/// single-process mode; they must survive the merge unchanged.
+/// Gauges are applied at the report boundary, identically on both sides;
+/// they must survive the merge unchanged.
 fn apply_report_gauges(snapshot: &mut MetricsSnapshot) {
     snapshot.gauges.insert("coverage.lines.sites".to_owned(), 123);
     snapshot.gauges.insert("coverage.branches.hits".to_owned(), -7);
 }
 
-fn merge_law_holds(seed: u64, jobs: usize, shards: usize) {
+fn merge_law_holds(seed: u64, jobs: usize, parts: usize) {
     let deltas: Vec<MetricsSnapshot> = {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..jobs).map(|_| random_job_delta(&mut rng)).collect()
     };
 
-    // Single process: every job delta merged in global job order.
+    // Every job delta merged in global job order.
     let mut sequential = MetricsSnapshot::default();
     for delta in &deltas {
         sequential.merge(delta);
     }
     apply_report_gauges(&mut sequential);
 
-    // Fleet: shard k owns the jobs with index % shards == k and merges
-    // them in job order; the supervisor then merges the shard-local
-    // snapshots in shard order.
-    let mut fleet = MetricsSnapshot::default();
-    for shard in 0..shards {
+    // Partitioned: part k holds the jobs with index % parts == k and
+    // merges them in job order; the part snapshots then merge in part
+    // order.
+    let mut partitioned = MetricsSnapshot::default();
+    for part in 0..parts {
         let mut local = MetricsSnapshot::default();
         for (index, delta) in deltas.iter().enumerate() {
-            if index % shards == shard {
+            if index % parts == part {
                 local.merge(delta);
             }
         }
-        fleet.merge(&local);
+        partitioned.merge(&local);
     }
-    apply_report_gauges(&mut fleet);
+    apply_report_gauges(&mut partitioned);
 
     // Structural equality covers counters, gauges, and histogram
     // count/sum; compare raw per-bucket counts explicitly as well so a
     // bucket-level regression cannot hide behind matching totals.
-    assert_eq!(sequential, fleet, "seed {seed}, {jobs} jobs over {shards} shards");
+    assert_eq!(sequential, partitioned, "seed {seed}, {jobs} jobs over {parts} parts");
     assert_eq!(
         sequential.histograms.keys().collect::<Vec<_>>(),
-        fleet.histograms.keys().collect::<Vec<_>>()
+        partitioned.histograms.keys().collect::<Vec<_>>()
     );
     for (name, h) in &sequential.histograms {
         assert_eq!(
             h.bucket_counts(),
-            fleet.histograms[name].bucket_counts(),
-            "histogram {name} buckets diverged (seed {seed}, {shards} shards)"
+            partitioned.histograms[name].bucket_counts(),
+            "histogram {name} buckets diverged (seed {seed}, {parts} parts)"
         );
     }
 }
@@ -97,12 +98,12 @@ props! {
     fn shard_merge_in_shard_order_equals_sequential_merge(
         seed in |r: &mut StdRng| r.random_range(0u64..1 << 32),
         jobs in |r: &mut StdRng| r.random_range(1usize..48),
-        shards in |r: &mut StdRng| r.random_range(1usize..7)
+        parts in |r: &mut StdRng| r.random_range(1usize..7)
     ) {
-        merge_law_holds(seed, jobs, shards);
+        merge_law_holds(seed, jobs, parts);
     }
 
-    fn single_shard_fleet_is_the_identity(
+    fn single_part_partition_is_the_identity(
         seed in |r: &mut StdRng| r.random_range(0u64..1 << 32),
         jobs in |r: &mut StdRng| r.random_range(1usize..32)
     ) {

@@ -79,15 +79,18 @@ target/release/yinyang experiments-md --check
 echo "==> regress smoke gate"
 # Replaying a campaign's own bundles against the same build must classify
 # every finding still-broken (nothing fixed, flaky, or stale), and the
-# report must be byte-identical across thread counts and repeated runs.
+# report and its span trace must be byte-identical across thread counts
+# and repeated runs.
 REGRESS=target/regress-smoke
 rm -rf "$REGRESS"
 mkdir -p "$REGRESS"
 target/release/yinyang regress "$FORENSICS/bundles" --json --threads 1 \
-    > "$REGRESS/seq.json"
+    --trace "$REGRESS/seq.jsonl" > "$REGRESS/seq.json"
 target/release/yinyang regress "$FORENSICS/bundles" --json --threads 4 \
-    > "$REGRESS/par.json"
+    --trace "$REGRESS/par.jsonl" > "$REGRESS/par.json"
 cmp "$REGRESS/seq.json" "$REGRESS/par.json"
+cmp "$REGRESS/seq.jsonl" "$REGRESS/par.jsonl"
+target/release/yinyang trace-check "$REGRESS/seq.jsonl" | grep -q "regress.solve"
 target/release/yinyang regress "$FORENSICS/bundles" --json --threads 1 \
     | cmp - "$REGRESS/seq.json"
 grep -q '"fixed": 0' "$REGRESS/seq.json"
@@ -155,9 +158,5 @@ cmp "$STATUS/a.json" "$STATUS/b.json"
 cmp "$STATUS/a.folded" "$STATUS/b.folded"
 grep -q '"traceEvents"' "$STATUS/a.json"
 grep -q '^solve' "$STATUS/a.folded"
-
-echo "==> bench report regeneration (fast mode)"
-YINYANG_BENCH_FAST=1 cargo bench --offline -p yinyang-bench --bench throughput
-test -s crates/bench/target/yinyang-bench/report.json
 
 echo "CI green."

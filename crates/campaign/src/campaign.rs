@@ -26,7 +26,7 @@ use yinyang_core::{concat_fuzz, run_catching, Fuser, Oracle, SolverAnswer};
 use yinyang_coverage::ProbeKind;
 use yinyang_faults::{BugClass, BugStatus, FaultySolver, SolverId};
 use yinyang_rt::trace::{self, TraceEvent};
-use yinyang_rt::{metrics, MetricsSnapshot, Rng, StdRng, Stopwatch};
+use yinyang_rt::{metrics, MetricsSnapshot, Rng, SplitMix64, StdRng, Stopwatch};
 use yinyang_seedgen::profile::{fig7_profile, generate_row};
 use yinyang_seedgen::Seed;
 
@@ -72,19 +72,10 @@ pub fn run_campaign(config: &CampaignConfig, solver_id: SolverId) -> CampaignOut
     run_campaign_full(config, solver_id).outcome
 }
 
-/// [`run_campaign`] plus the campaign's merged metrics delta (seed
-/// generation, fusion, solving, oracle checks, triage, and the solver's
-/// own statistics), assembled from per-job deltas so the totals are
-/// identical across thread counts.
-pub fn run_campaign_with_metrics(
-    config: &CampaignConfig,
-    solver_id: SolverId,
-) -> (CampaignOutcome, MetricsSnapshot) {
-    let run = run_campaign_full(config, solver_id);
-    (run.outcome, run.metrics)
-}
-
-/// The full campaign driver: [`run_campaign_with_metrics`] plus
+/// The full campaign driver: [`run_campaign`] plus the campaign's merged
+/// metrics delta (seed generation, fusion, solving, oracle checks,
+/// triage, and the solver's own statistics, assembled from per-job
+/// deltas so the totals are identical across thread counts),
 /// per-finding [`FindingForensics`] and the optional per-round coverage
 /// trajectory. Everything in the returned [`CampaignRun`] is a pure
 /// function of the config (modulo process-global coverage when other
@@ -233,19 +224,6 @@ struct JobResult {
     metrics: MetricsSnapshot,
 }
 
-/// SplitMix64's finalizer: decorrelates consecutive job indices into
-/// independent-looking RNG seeds (shared with the regression replayer,
-/// whose per-bundle streams follow the same scheme).
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
-}
-
 /// One round's output: findings and counters, the merged telemetry and
 /// trace events, and one forensics record per finding.
 struct RoundOutput {
@@ -286,10 +264,16 @@ fn run_round(
     let mut events = trace::take_events();
     let mut round_metrics = metrics::local_snapshot().delta(&driver_before);
 
+    // One SplitMix64 step decorrelates consecutive job indices into
+    // independent-looking RNG seeds (the regression replayer derives its
+    // per-bundle streams the same way).
     let jobs: Vec<TestJob> = (0..pools.len() * config.iterations)
-        .map(|index| TestJob {
-            pool: index / config.iterations,
-            rng_seed: mix64(round_seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        .map(|index| {
+            let stream = round_seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            TestJob {
+                pool: index / config.iterations,
+                rng_seed: SplitMix64::new(stream).next_u64(),
+            }
         })
         .collect();
     let rng_seeds: Vec<u64> = jobs.iter().map(|j| j.rng_seed).collect();

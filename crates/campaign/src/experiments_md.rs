@@ -1,21 +1,16 @@
-//! Regenerates the *generated blocks* of `EXPERIMENTS.md` from report
-//! JSON, so the committed tables can never silently drift from what the
+//! Regenerates the *generated block* of `EXPERIMENTS.md` from report
+//! data, so the committed tables can never silently drift from what the
 //! code measures.
 //!
-//! Two blocks live between HTML-comment markers
-//! (`<!-- BEGIN GENERATED: <name> -->` / `<!-- END GENERATED: <name> -->`):
-//!
-//! * `campaign` — stage-timing quantiles and the per-round coverage
-//!   trajectory of a **pinned** demo campaign ([`pinned_config`]). Tick
-//!   time and a fixed seed make the block deterministic, so CI byte-diffs
-//!   it (`yinyang experiments-md --check`).
-//! * `bench` — the microbenchmark table from an `rt::bench` `report.json`.
-//!   Wall-clock numbers are machine-dependent, so this block is only
-//!   rewritten when `--bench-report` is passed and is never CI-diffed.
+//! The `campaign` block lives between HTML-comment markers
+//! (`<!-- BEGIN GENERATED: campaign -->` / `<!-- END GENERATED: campaign -->`):
+//! stage-timing quantiles and the per-round coverage trajectory of a
+//! **pinned** demo campaign ([`pinned_config`]). Tick time and a fixed
+//! seed make the block deterministic, so CI byte-diffs it
+//! (`yinyang experiments-md --check`).
 
 use crate::experiments::Fig8Result;
 use std::fmt::Write as _;
-use yinyang_rt::json::Json;
 
 /// The deterministic demo-campaign config behind the `campaign` block:
 /// small enough for CI, big enough to exercise both personas, trajectory
@@ -98,39 +93,6 @@ pub fn campaign_block(result: &Fig8Result) -> String {
     out
 }
 
-/// Renders the `bench` block from a parsed `rt::bench` report
-/// (`[{group, benchmarks: [{name, median_ns, p95_ns, ...}]}]`).
-pub fn bench_block(report: &Json) -> Result<String, String> {
-    let groups = match report {
-        Json::Arr(groups) => groups,
-        _ => return Err("bench report must be a JSON array of groups".into()),
-    };
-    let mut out = String::new();
-    let _ = writeln!(out, "```");
-    let _ = writeln!(out, "{:<44} {:>12} {:>12}", "benchmark", "median_ns", "p95_ns");
-    for group in groups {
-        let name = group
-            .get("group")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "group missing `group` name".to_owned())?;
-        let benches = match group.get("benchmarks") {
-            Some(Json::Arr(b)) => b,
-            _ => return Err(format!("group `{name}` missing `benchmarks` array")),
-        };
-        for bench in benches {
-            let bname = bench
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("benchmark in `{name}` missing `name`"))?;
-            let median = bench.get("median_ns").and_then(Json::as_f64).unwrap_or(0.0);
-            let p95 = bench.get("p95_ns").and_then(Json::as_f64).unwrap_or(0.0);
-            let _ = writeln!(out, "{:<44} {median:>12.0} {p95:>12.0}", format!("{name}/{bname}"));
-        }
-    }
-    let _ = writeln!(out, "```");
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,19 +124,6 @@ tail text
     fn patch_errors_on_missing_markers() {
         assert!(patch_block(DOC, "bench", "x").is_err());
         assert!(patch_block("no markers here", "campaign", "x").is_err());
-    }
-
-    #[test]
-    fn bench_block_renders_rows() {
-        let report = Json::parse(
-            r#"[{"group":"fusion","benchmarks":[{"name":"fuse_qfnra","iters_per_sample":10,
-                "samples":5,"min_ns":100,"median_ns":120,"p95_ns":150,"max_ns":200}]}]"#,
-        )
-        .unwrap();
-        let block = bench_block(&report).unwrap();
-        assert!(block.contains("fusion/fuse_qfnra"), "{block}");
-        assert!(block.contains("120"), "{block}");
-        assert!(bench_block(&Json::Null).is_err());
     }
 
     #[test]

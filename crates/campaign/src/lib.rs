@@ -31,8 +31,7 @@ pub mod telemetry;
 pub mod triage;
 
 pub use campaign::{
-    run_campaign, run_campaign_full, run_campaign_with_metrics, run_concatfuzz_round, CampaignRun,
-    FindingForensics,
+    run_campaign, run_campaign_full, run_concatfuzz_round, CampaignRun, FindingForensics,
 };
 pub use config::{Behavior, CampaignConfig, CampaignOutcome, RawFinding};
 pub use forensics::{write_bundles, BundleSummary};

@@ -32,7 +32,7 @@ commands:
                                   ticks (inferno / flamegraph.pl)
   fetch <host:port> <path>        plain-TcpStream HTTP GET against a --status-addr
                                   server (no curl needed); prints the body
-  experiments-md [file]           regenerate EXPERIMENTS.md's generated blocks
+  experiments-md [file]           regenerate EXPERIMENTS.md's generated block
                                   from a pinned demo campaign [default EXPERIMENTS.md]
   solve <file.smt2>               run the reference solver on a script
   fuse <sat|unsat> <a> <b>        fuse two seed files, print the fused test
@@ -52,9 +52,9 @@ options (read only by the commands in parentheses):
   --threads N      (exp, fuzz, regress) worker threads (replay-safe at
                    any count); 0 = auto-detect from the machine's
                    available parallelism                        [default 1]
-  --json           (exp, fuzz, regress, profile) print reports as JSON
-                   (fuzz embeds a telemetry section; profile prints the
-                   span tree as JSON)
+  --json           (fuzz, regress, profile) print reports as JSON
+                   (fuzz embeds the triage and a telemetry section;
+                   profile prints the span tree as JSON)
   --release NAME   (regress) target build: a registry release such as trunk,
                    4.8.5 (zirkon) or 1.5 (corvus), or `reference` for the
                    bug-free solver                              [default trunk]
@@ -78,9 +78,6 @@ options (read only by the commands in parentheses):
                    (export) write collapsed flamegraph stacks
   --lanes N        (export) virtual worker lanes for --chrome-trace; root
                    spans are scheduled greedily across them [default 1]
-  --bench-report FILE
-                   (experiments-md) also regenerate the bench block from an
-                   rt::bench report.json — machine-dependent, never CI-diffed
   --check          (experiments-md) verify the file is up to date instead of
                    rewriting it; exits non-zero when stale
   --verbose        (exp, fuzz) per-round campaign heartbeat on stderr
@@ -152,7 +149,6 @@ struct CliOpts {
     trace_path: Option<String>,
     bundle_dir: Option<String>,
     metrics_out: Option<String>,
-    bench_report: Option<String>,
     release: Option<String>,
     status_addr: Option<String>,
     chrome_trace: Option<String>,
@@ -169,7 +165,6 @@ impl Default for CliOpts {
             trace_path: None,
             bundle_dir: None,
             metrics_out: None,
-            bench_report: None,
             release: None,
             status_addr: None,
             chrome_trace: None,
@@ -221,7 +216,7 @@ const FLAGS: &[(&str, &[&str], Setter)] = &[
     ("--rounds", &["exp", "fuzz"], Setter::Num(|c, _, n| c.rounds = n)),
     ("--seed", &["exp", "fuzz", "regress", "fuse"], Setter::Num(|c, _, n| c.rng_seed = n as u64)),
     ("--threads", &["exp", "fuzz", "regress"], Setter::Num(|c, _, n| c.threads = n)),
-    ("--json", &["exp", "fuzz", "regress", "profile"], Setter::Switch(|_, o| o.json = true)),
+    ("--json", &["fuzz", "regress", "profile"], Setter::Switch(|_, o| o.json = true)),
     ("--verbose", &["exp", "fuzz"], Setter::Switch(|c, _| c.heartbeat = true)),
     ("--quiet", &["exp", "fuzz", "regress"], Setter::Switch(|_, o| o.quiet = true)),
     (
@@ -237,7 +232,6 @@ const FLAGS: &[(&str, &[&str], Setter)] = &[
     ("--chrome-trace", &["export"], Setter::Text(|_, o, v| o.chrome_trace = Some(v))),
     ("--flamegraph", &["export"], Setter::Text(|_, o, v| o.flamegraph = Some(v))),
     ("--lanes", &["export"], Setter::Num(|_, o, n| o.lanes = n)),
-    ("--bench-report", &["experiments-md"], Setter::Text(|_, o, v| o.bench_report = Some(v))),
     ("--check", &["experiments-md"], Setter::Switch(|_, o| o.check = true)),
 ];
 
@@ -338,9 +332,8 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, ArgError> {
 }
 
 fn dispatch(command: &str, args: &[String], config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
-    let json = opts.json;
     match command {
-        "exp" => run_exp(args.first().map(String::as_str), config, json),
+        "exp" => run_exp(args.first().map(String::as_str), config),
         "fuzz" => run_fuzz(config, opts),
         "regress" => run_regress_cmd(args, config, opts),
         "profile" => {
@@ -348,7 +341,7 @@ fn dispatch(command: &str, args: &[String], config: &CampaignConfig, opts: &CliO
                 eprintln!("usage: yinyang profile <file.jsonl>");
                 return ExitCode::FAILURE;
             };
-            run_profile(path, json)
+            run_profile(path, opts.json)
         }
         "export" => {
             let Some(path) = args.first() else {
@@ -727,9 +720,8 @@ fn run_profile(path: &str, json: bool) -> ExitCode {
     }
 }
 
-/// The `experiments-md` command: regenerate the generated blocks of
-/// EXPERIMENTS.md. The campaign block reruns the pinned demo campaign
-/// (deterministic); the bench block only changes under `--bench-report`.
+/// The `experiments-md` command: regenerate the generated block of
+/// EXPERIMENTS.md by rerunning the pinned demo campaign (deterministic).
 fn run_experiments_md(path: &str, opts: &CliOpts) -> ExitCode {
     let Ok(doc) = std::fs::read_to_string(path) else {
         eprintln!("cannot read {path}");
@@ -737,44 +729,19 @@ fn run_experiments_md(path: &str, opts: &CliOpts) -> ExitCode {
     };
     let result = experiments::fig8_campaign(&yinyang_campaign::experiments_md::pinned_config());
     let block = yinyang_campaign::experiments_md::campaign_block(&result);
-    let mut patched = match yinyang_campaign::experiments_md::patch_block(&doc, "campaign", &block)
-    {
+    let patched = match yinyang_campaign::experiments_md::patch_block(&doc, "campaign", &block) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(report_path) = &opts.bench_report {
-        let Ok(report_text) = std::fs::read_to_string(report_path) else {
-            eprintln!("cannot read {report_path}");
-            return ExitCode::FAILURE;
-        };
-        let bench = yinyang_rt::json::Json::parse(&report_text)
-            .map_err(|e| e.to_string())
-            .and_then(|j| yinyang_campaign::experiments_md::bench_block(&j));
-        match bench {
-            Ok(block) => {
-                match yinyang_campaign::experiments_md::patch_block(&patched, "bench", &block) {
-                    Ok(p) => patched = p,
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("{report_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     if opts.check {
         if patched == doc {
-            println!("{path}: generated blocks up to date");
+            println!("{path}: generated block up to date");
             ExitCode::SUCCESS
         } else {
-            eprintln!("{path}: generated blocks are stale; rerun `yinyang experiments-md`");
+            eprintln!("{path}: generated block is stale; rerun `yinyang experiments-md`");
             ExitCode::FAILURE
         }
     } else if patched == doc {
@@ -789,18 +756,11 @@ fn run_experiments_md(path: &str, opts: &CliOpts) -> ExitCode {
     }
 }
 
-fn run_exp(which: Option<&str>, config: &CampaignConfig, json: bool) -> ExitCode {
+fn run_exp(which: Option<&str>, config: &CampaignConfig) -> ExitCode {
     let coverage_tests = config.iterations;
     match which {
         Some("fig7") => print!("{}", experiments::fig7(config.scale)),
-        Some("fig8") => {
-            let r = experiments::fig8_campaign(config);
-            if json {
-                println!("{}", r.triage.to_json().pretty());
-            } else {
-                print!("{}", experiments::render_fig8(&r));
-            }
-        }
+        Some("fig8") => print!("{}", experiments::render_fig8(&experiments::fig8_campaign(config))),
         Some("fig9") => {
             let r = experiments::fig8_campaign(config);
             print!("{}", experiments::fig9(&r));

@@ -55,12 +55,12 @@
 //!
 //! Replays run on the [`yinyang_rt::pool`] thread pool as a flat job
 //! list, one job per unique key, each with its own decorrelated RNG
-//! stream seed and private metrics bracket; the driver merges deltas in
-//! job order. Reports are therefore byte-identical across `--threads`
-//! counts and repeated runs, and the `regress.*` counters and
-//! `span.regress.*` histograms in the embedded telemetry are too.
+//! stream seed, private metrics bracket and drained trace events; the
+//! driver merges deltas and events in job order. Reports and `--trace`
+//! files are therefore byte-identical across `--threads` counts and
+//! repeated runs, and the `regress.*` counters and `span.regress.*`
+//! histograms in the embedded telemetry are too.
 
-use crate::campaign::mix64;
 use crate::config::{fast_solver_config, Behavior};
 use crate::telemetry::Telemetry;
 use crate::triage::{behavior_kind, canonical_hash};
@@ -69,7 +69,8 @@ use std::path::{Path, PathBuf};
 use yinyang_core::{run_catching, SolverAnswer};
 use yinyang_faults::{releases_of, FaultySolver, SolverId};
 use yinyang_rt::json::{FromJson, Json};
-use yinyang_rt::{impl_json_struct, metrics, StdRng};
+use yinyang_rt::trace::{self, TraceEvent};
+use yinyang_rt::{impl_json_struct, metrics, SplitMix64, StdRng};
 use yinyang_smtlib::{parse_script, Script};
 
 /// Knobs of a regression replay.
@@ -392,6 +393,7 @@ struct ReplayResult {
     reduced_answer: String,
     triggered_bug: Option<u32>,
     metrics: yinyang_rt::MetricsSnapshot,
+    events: Vec<TraceEvent>,
 }
 
 fn answer_str(answer: &SolverAnswer) -> String {
@@ -403,7 +405,8 @@ fn answer_str(answer: &SolverAnswer) -> String {
 
 /// Replays one unique test case against the target build: rebuilds the
 /// finding's solver configuration, runs both scripts on it and classifies
-/// the bundle, all inside one private metrics bracket.
+/// the bundle, all inside one private metrics bracket whose trace events
+/// the job drains and returns.
 fn replay_one(bundle: &LoadedBundle, release: &str, rng_seed: u64) -> ReplayResult {
     let before = metrics::local_snapshot();
     // The stream is decorrelated per bundle so future randomized replay
@@ -432,6 +435,7 @@ fn replay_one(bundle: &LoadedBundle, release: &str, rng_seed: u64) -> ReplayResu
                 reduced_answer: answer_str(&reduced_answer),
                 triggered_bug: solver.triggered_bug(&bundle.reduced).map(|b| b.id),
                 metrics: Default::default(),
+                events: Vec::new(),
             }
         }
         Err(reason) => ReplayResult {
@@ -442,10 +446,12 @@ fn replay_one(bundle: &LoadedBundle, release: &str, rng_seed: u64) -> ReplayResu
             reduced_answer: String::new(),
             triggered_bug: None,
             metrics: Default::default(),
+            events: Vec::new(),
         },
     };
     metrics::counter_add(&format!("regress.{}", result.status.as_str()), 1);
     result.metrics = metrics::local_snapshot().delta(&before);
+    result.events = trace::take_events();
     result
 }
 
@@ -495,16 +501,21 @@ pub fn run_regress_full(roots: &[PathBuf], config: &RegressConfig) -> Result<Reg
     }
 
     let seeds: Vec<u64> = (0..jobs.len())
-        .map(|j| mix64(config.rng_seed ^ (j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        .map(|j| {
+            let stream = config.rng_seed ^ (j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            SplitMix64::new(stream).next_u64()
+        })
         .collect();
-    // The driver's own delta is taken *before* dispatch: with `threads: 1`
-    // the jobs run inline on this thread, and snapshotting afterwards
-    // would double-count their (already self-bracketed) metrics.
+    // The driver's own delta and events are taken *before* dispatch: with
+    // `threads: 1` the jobs run inline on this thread, so a later snapshot
+    // would double-count their (already self-bracketed) metrics, and the
+    // first job would drain the load spans as its own events.
     let mut merged = metrics::local_snapshot().delta(&driver_before);
+    let mut events = trace::take_events();
     let job_inputs: Vec<(usize, u64)> = jobs.iter().copied().zip(seeds.iter().copied()).collect();
     let progress = yinyang_rt::serve::progress();
     progress.add_jobs(job_inputs.len() as u64);
-    let results = yinyang_rt::pool::parallel_map(config.threads, job_inputs, |(rec, seed)| {
+    let mut results = yinyang_rt::pool::parallel_map(config.threads, job_inputs, |(rec, seed)| {
         let BundleRecord::Ok(bundle) = &records[rec] else {
             unreachable!("jobs are loaded bundles")
         };
@@ -514,9 +525,11 @@ pub fn run_regress_full(roots: &[PathBuf], config: &RegressConfig) -> Result<Reg
         progress.job_done();
         result
     });
-    for r in &results {
+    for r in &mut results {
         merged.merge(&r.metrics);
+        events.append(&mut r.events);
     }
+    trace::emit_events(&events);
 
     let mut report = RegressReport {
         release: config.release.clone(),

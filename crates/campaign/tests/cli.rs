@@ -96,7 +96,6 @@ fn help_lists_every_subcommand_and_flag() {
         "--trace",
         "--bundle-dir",
         "--metrics-out",
-        "--bench-report",
         "--check",
         "--verbose",
         "--quiet",
@@ -149,6 +148,8 @@ fn arguments_the_command_does_not_take_are_refused() {
         (&["fuzz", "--lanes", "3"], "--lanes"),
         (&["solve", "f.smt2", "--seed", "4"], "--seed"),
         (&["export", "t.jsonl", "--json"], "--json"),
+        (&["exp", "fig7", "--json"], "--json"),
+        (&["experiments-md", "--bench-report", "r.json"], "--bench-report"),
         (&["fuzz", "stray"], "stray"),
         (&["solve", "f.smt2", "g.smt2"], "g.smt2"),
         (&["fuzz", "-x"], "-x"),
@@ -409,15 +410,14 @@ fn exp_fp_reports_no_false_positives() {
 }
 
 #[test]
-fn exp_fig8_json_is_valid() {
+fn exp_fig8_prints_the_bug_tables() {
     let out = yinyang()
-        .args(["exp", "fig8", "--iterations", "2", "--rounds", "1", "--json"])
+        .args(["exp", "fig8", "--iterations", "2", "--rounds", "1"])
         .output()
         .expect("spawn");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    let v = yinyang_rt::json::Json::parse(text.trim()).expect("valid JSON triage");
-    assert!(v.get("status").is_some());
+    assert!(text.contains("Fig. 8a"), "{text}");
 }
 
 #[test]
@@ -602,6 +602,38 @@ fn fetch_serves_metrics_status_and_healthz_from_a_live_campaign() {
 
     child.kill().ok();
     child.wait().ok();
+}
+
+/// `regress --trace` writes the replay jobs' spans in job order, so the
+/// trace is the same bytes at any `--threads` count.
+#[test]
+fn regress_trace_holds_the_replay_spans_at_any_thread_count() {
+    let dir = std::env::temp_dir().join(format!("yinyang-cli-regtrace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let bundles = dir.join("bundles");
+    let out = yinyang()
+        .args(["fuzz", "--iterations", "2", "--rounds", "1", "--seed", "7", "--quiet"])
+        .args(["--bundle-dir", bundles.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut traces = Vec::new();
+    for threads in ["1", "4"] {
+        let trace = dir.join(format!("regress-{threads}.jsonl"));
+        let out = yinyang()
+            .args(["regress", bundles.to_str().unwrap(), "--quiet", "--threads", threads])
+            .args(["--trace", trace.to_str().unwrap()])
+            .output()
+            .expect("spawn");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let check = yinyang().args(["trace-check", trace.to_str().unwrap()]).output().unwrap();
+        assert!(check.status.success(), "{}", String::from_utf8_lossy(&check.stderr));
+        traces.push(std::fs::read_to_string(&trace).expect("--trace file exists"));
+    }
+    assert!(traces[0].contains(r#""span":"regress.solve""#), "{}", traces[0]);
+    assert_eq!(traces[0], traces[1], "regress trace differs between --threads 1 and 4");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -23,7 +23,7 @@ fn run_cli(args: &[&str]) -> Vec<u8> {
 
 #[test]
 fn seeded_cli_runs_are_byte_identical() {
-    let args = ["exp", "fig8", "--iterations", "2", "--rounds", "1", "--seed", "41", "--json"];
+    let args = ["fuzz", "--iterations", "2", "--rounds", "1", "--seed", "41", "--json"];
     let first = run_cli(&args);
     let second = run_cli(&args);
     assert!(!first.is_empty());
@@ -222,6 +222,8 @@ fn fuzz_json_report_carries_telemetry() {
     let out = run_cli(&["fuzz", "--iterations", "2", "--rounds", "1", "--seed", "7", "--json"]);
     let text = String::from_utf8(out).unwrap();
     let v = yinyang_rt::json::Json::parse(text.trim()).expect("valid fuzz JSON");
+    let triage = v.get("triage").expect("report has a triage section");
+    assert!(triage.get("status").is_some(), "triage lacks the Fig. 8a status table");
     let telemetry = v.get("telemetry").expect("report has a telemetry section");
     let stages = telemetry.get("stages").expect("telemetry has stages");
     for stage in ["seedgen", "fusion", "solve", "triage"] {

@@ -284,7 +284,6 @@ pub fn chrome_trace(text: &str, lanes: usize) -> Result<String, String> {
 /// descendants). Output is sorted by stack (the profile's BTreeMap
 /// order), so identical traces produce identical bytes.
 pub fn flamegraph(text: &str) -> Result<String, String> {
-    check(text)?; // both exporters reject the same malformed inputs
     let profile = Profile::from_jsonl(text)?;
     let mut out = String::new();
     fn walk(out: &mut String, prefix: &str, name: &str, node: &crate::profile::ProfileNode) {

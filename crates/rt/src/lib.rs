@@ -8,7 +8,6 @@
 //! |---|---|---|
 //! | [`rng`] | `rand` | SplitMix64 seeding + xoshiro256** streams |
 //! | [`prop`] | `proptest` | property harness with greedy shrinking |
-//! | [`bench`](mod@bench) | `criterion` | wall-clock micro-bench runner (median/p95, JSON) |
 //! | [`json`] | `serde`/`serde_json` | hand-rolled JSON writer/reader |
 //! | [`pool`] | `crossbeam` | `std::thread` + `mpsc` fork/join pool, the campaign and regress executor |
 //! | [`metrics`] | `prometheus`-alikes | sharded counters/gauges/histograms |
@@ -24,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod export;
 pub mod json;
 pub mod metrics;
@@ -35,7 +33,6 @@ pub mod rng;
 pub mod serve;
 pub mod trace;
 
-pub use bench::Criterion;
 pub use metrics::{Histogram, HistogramSummary, MetricsSnapshot};
 pub use profile::{Profile, ProfileNode};
 pub use rng::{Rng, SplitMix64, StdRng};

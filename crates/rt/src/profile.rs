@@ -3,10 +3,12 @@
 //!
 //! Every [`crate::trace::TraceEvent`] carries its tree `path` (ancestor
 //! span names joined with `/`), so a flat event stream reconstructs the
-//! call tree exactly: one [`ProfileNode`] per distinct path, holding call
-//! counts, inclusive tick totals (the span's own duration sums), exclusive
-//! totals (inclusive minus direct children), and a [`Histogram`] of the
-//! per-call durations for p50/p95/p99.
+//! call tree exactly. The trace is read and validated by the exporters'
+//! reader ([`export::parse_events`], [`export::build_forest`]), and the
+//! span forest folds into one [`ProfileNode`] per distinct path, holding
+//! call counts, inclusive tick totals (the span's own duration sums),
+//! exclusive totals (inclusive minus direct children), and a
+//! [`Histogram`] of the per-call durations for p50/p95/p99.
 //!
 //! The fold is a pure function of the event list: nodes live in
 //! [`BTreeMap`]s and the renderers iterate them in path order, so a
@@ -15,6 +17,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::export::{self, SpanTree};
 use crate::json::{Json, ToJson};
 use crate::metrics::Histogram;
 
@@ -25,8 +28,7 @@ pub struct ProfileNode {
     pub calls: u64,
     /// Sum of event durations — time inside this span including children.
     pub inclusive: u64,
-    /// Inclusive minus the direct children's inclusive totals (saturating:
-    /// a child recorded without its parent cannot push this below zero).
+    /// Inclusive minus the direct children's inclusive totals.
     pub exclusive: u64,
     /// Distribution of per-call durations (bucket-bound quantiles).
     pub durations: Histogram,
@@ -35,16 +37,13 @@ pub struct ProfileNode {
 }
 
 impl ProfileNode {
-    fn insert(&mut self, path: &[&str], dur: u64) {
-        match path {
-            [] => {
-                self.calls += 1;
-                self.inclusive += dur;
-                self.durations.record(dur);
-            }
-            [head, rest @ ..] => {
-                self.children.entry((*head).to_owned()).or_default().insert(rest, dur);
-            }
+    /// Folds one span and, recursively, its children into this node.
+    fn add(&mut self, tree: &SpanTree) {
+        self.calls += 1;
+        self.inclusive += tree.event.dur;
+        self.durations.record(tree.event.dur);
+        for child in &tree.children {
+            self.children.entry(child.event.name.clone()).or_default().add(child);
         }
     }
 
@@ -90,38 +89,20 @@ pub struct Profile {
 
 impl Profile {
     /// Folds a JSON-lines trace (one event object per line, as written by
-    /// [`crate::trace::emit_events`]) into a profile. Empty lines are
-    /// skipped; a malformed line is an error naming its line number.
-    /// Events without a `path` member (traces from older builds) profile
-    /// flat under their `span` name.
+    /// [`crate::trace::emit_events`]) into a profile. The trace must pass
+    /// the exporters' checks ([`export::parse_events`] and
+    /// [`export::build_forest`]); the first violation is an error naming
+    /// its line. Events without a `path` member (traces from older builds)
+    /// profile flat under their `span` name.
     pub fn from_jsonl(text: &str) -> Result<Profile, String> {
-        let mut profile = Profile { unit: "ticks".to_owned(), ..Profile::default() };
-        for (lineno, line) in text.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let event =
-                Json::parse(line).map_err(|e| format!("line {}: not JSON: {e}", lineno + 1))?;
-            let name = event
-                .get("span")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("line {}: missing span member", lineno + 1))?;
-            let dur = event
-                .get("dur")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("line {}: missing dur member", lineno + 1))?
-                as u64;
-            if let Some(unit) = event.get("unit").and_then(Json::as_str) {
-                profile.unit = unit.to_owned();
-            }
-            let path = event.get("path").and_then(Json::as_str).unwrap_or(name);
-            let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-            let (root, rest) = match segments.split_first() {
-                Some(split) => split,
-                None => continue,
-            };
-            profile.roots.entry((*root).to_owned()).or_default().insert(rest, dur);
-            profile.events += 1;
+        let events = export::parse_events(text)?;
+        let mut profile = Profile {
+            roots: BTreeMap::new(),
+            events: events.len() as u64,
+            unit: events.first().map_or_else(|| "ticks".to_owned(), |e| e.unit.clone()),
+        };
+        for tree in export::build_forest(events)? {
+            profile.roots.entry(tree.event.name.clone()).or_default().add(&tree);
         }
         for root in profile.roots.values_mut() {
             root.finalize();
@@ -264,5 +245,21 @@ mod tests {
         assert!(err.contains("line 2"), "{err}");
         let missing = Profile::from_jsonl("{\"dur\":1}").unwrap_err();
         assert!(missing.contains("span"), "{missing}");
+    }
+
+    #[test]
+    fn traces_the_exporters_refuse_are_refused() {
+        // Ticks and then microseconds: the durations cannot be summed.
+        let mixed =
+            [line("a", "a", 1), r#"{"span":"b","path":"b","dur":2,"unit":"us"}"#.into()].join("\n");
+        let err = Profile::from_jsonl(&mixed).unwrap_err();
+        assert!(err.contains("line 2") && err.contains("one clock"), "{err}");
+        // A child whose `solve` parent never closes.
+        let orphan = [line("fusion", "fusion", 7), line("inner", "solve/inner", 3)].join("\n");
+        let err = Profile::from_jsonl(&orphan).unwrap_err();
+        assert!(err.contains("line 2") && err.contains("unbalanced"), "{err}");
+        // A path that does not end in its span name.
+        let err = Profile::from_jsonl(&line("solve", "solve/other", 1)).unwrap_err();
+        assert!(err.contains("does not end in its span name"), "{err}");
     }
 }

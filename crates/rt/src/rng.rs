@@ -60,8 +60,8 @@ impl StdRng {
     /// generator of a family keyed by `seed`.
     ///
     /// Distinct `(seed, stream)` pairs give uncorrelated streams; the same
-    /// pair always gives the same stream. Campaign worker threads use this
-    /// instead of ad-hoc seed arithmetic.
+    /// pair always gives the same stream. The property harness
+    /// ([`crate::prop`]) draws each property's cases from its own stream.
     pub fn for_stream(seed: u64, stream: u64) -> Self {
         let mut mix = SplitMix64::new(seed);
         // Push the mixer `stream + 1` steps so stream 0 differs from the

@@ -24,6 +24,12 @@ echo "==> arithmetic tests with release semantics"
 # the way the campaign binary runs them.
 cargo test -q --release --offline -p yinyang-arith
 
+echo "==> coverage example"
+# RQ3 in miniature: each arm brackets its own probe hits with two
+# thread-local metrics snapshots, and the fused-test arm must reach at
+# least the sites of the seed arm (the example asserts it).
+cargo run --release --offline --quiet --example coverage_runs > /dev/null
+
 echo "==> campaign benchmark smoke tests"
 # The benchmark is its own workspace over crates/*; its smoke tests check
 # every workload's outputs against the method's properties.
@@ -145,6 +151,8 @@ grep -q '^yinyang_build_info{version="' "$STATUS/metrics.txt"
 grep -q '^# TYPE span_solve histogram$' "$STATUS/metrics.txt"
 grep -q 'span_solve_bucket{le="+Inf"}' "$STATUS/metrics.txt"
 grep -q '^span_solve_count ' "$STATUS/metrics.txt"
+# Coverage probes are registry counters, one series per site.
+grep -q '^coverage_function_smt::solve_script [0-9]' "$STATUS/metrics.txt"
 kill "$FUZZ_PID" 2>/dev/null || true
 wait "$FUZZ_PID" 2>/dev/null || true
 # Exporters: valid outputs, byte-identical across reruns.

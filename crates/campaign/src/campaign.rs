@@ -17,13 +17,15 @@
 //! telemetry alike. Telemetry never reads the process-global metrics
 //! registry mid-round: each job brackets itself with
 //! [`yinyang_rt::metrics::local_snapshot`] and returns its private delta,
-//! and the driver merges the deltas in job order.
+//! and the driver merges the deltas in job order. Coverage probes are
+//! metrics counters, so each job's delta carries its own probe hits and
+//! the per-round coverage trajectory is read off the merged deltas.
 
 use crate::config::{fast_solver_config, Behavior, CampaignConfig, CampaignOutcome, RawFinding};
 use crate::telemetry::CoverageRound;
 use std::collections::BTreeSet;
 use yinyang_core::{concat_fuzz, run_catching, Fuser, Oracle, SolverAnswer};
-use yinyang_coverage::ProbeKind;
+use yinyang_coverage::CoverageSnapshot;
 use yinyang_faults::{BugClass, BugStatus, FaultySolver, SolverId};
 use yinyang_rt::trace::{self, TraceEvent};
 use yinyang_rt::{metrics, MetricsSnapshot, Rng, SplitMix64, StdRng, Stopwatch};
@@ -52,7 +54,7 @@ pub struct FindingForensics {
 }
 
 /// A campaign's full output: findings, merged telemetry, per-finding
-/// forensics, and (when enabled) the per-round coverage trajectory.
+/// forensics, and the per-round coverage trajectory.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignRun {
     /// Findings and summary counters.
@@ -62,8 +64,7 @@ pub struct CampaignRun {
     pub metrics: MetricsSnapshot,
     /// One record per finding, in the same order.
     pub forensics: Vec<FindingForensics>,
-    /// Cumulative coverage after each round (empty unless
-    /// [`CampaignConfig::coverage_trajectory`] is set).
+    /// Cumulative coverage after each round.
     pub coverage_rounds: Vec<CoverageRound>,
 }
 
@@ -76,17 +77,14 @@ pub fn run_campaign(config: &CampaignConfig, solver_id: SolverId) -> CampaignOut
 /// metrics delta (seed generation, fusion, solving, oracle checks,
 /// triage, and the solver's own statistics, assembled from per-job
 /// deltas so the totals are identical across thread counts),
-/// per-finding [`FindingForensics`] and the optional per-round coverage
+/// per-finding [`FindingForensics`] and the per-round coverage
 /// trajectory. Everything in the returned [`CampaignRun`] is a pure
-/// function of the config (modulo process-global coverage when other
-/// campaigns share the process — see
-/// [`CampaignConfig::coverage_trajectory`]).
+/// function of the config, even while other campaigns run in the same
+/// process.
 pub fn run_campaign_full(config: &CampaignConfig, solver_id: SolverId) -> CampaignRun {
     let mut run = CampaignRun::default();
     let mut fixed: BTreeSet<u32> = BTreeSet::new();
     let watch = Stopwatch::start();
-    let coverage_start =
-        if config.coverage_trajectory { Some(yinyang_coverage::snapshot()) } else { None };
     for round in 0..config.rounds {
         let mut round_out = run_round(config, solver_id, round, &fixed);
         // Fix-and-retest: deactivate fixed confirmed bugs for later rounds.
@@ -108,25 +106,14 @@ pub fn run_campaign_full(config: &CampaignConfig, solver_id: SolverId) -> Campai
         round_out.events.extend(trace::take_events());
         round_out.metrics.merge(&metrics::local_snapshot().delta(&before));
         trace::emit_events(&round_out.events);
-        if let Some(start) = &coverage_start {
-            let cumulative = yinyang_coverage::snapshot().delta(start);
-            run.coverage_rounds.push(CoverageRound {
-                solver: solver_id.name().to_owned(),
-                round,
-                lines_sites: cumulative.hits_of_kind(ProbeKind::Line),
-                functions_sites: cumulative.hits_of_kind(ProbeKind::Function),
-                branches_sites: cumulative.hits_of_kind(ProbeKind::Branch),
-                lines_hits: cumulative.count_of_kind(ProbeKind::Line),
-                functions_hits: cumulative.count_of_kind(ProbeKind::Function),
-                branches_hits: cumulative.count_of_kind(ProbeKind::Branch),
-            });
-        }
         run.outcome.findings.extend(round_out.outcome.findings);
         run.forensics.extend(round_out.forensics);
         run.outcome.stats.tests += round_out.outcome.stats.tests;
         run.outcome.stats.unknowns += round_out.outcome.stats.unknowns;
         run.outcome.stats.fusion_failures += round_out.outcome.stats.fusion_failures;
         run.metrics.merge(&round_out.metrics);
+        let cumulative = CoverageSnapshot::from_metrics(&run.metrics);
+        run.coverage_rounds.push(CoverageRound::new(solver_id.name(), round, &cumulative));
         publish_progress(solver_id, config, round, &run.outcome);
         if config.heartbeat {
             heartbeat(solver_id, config, round, &run.outcome, &run.metrics, &watch);
@@ -265,8 +252,7 @@ fn run_round(
     let mut round_metrics = metrics::local_snapshot().delta(&driver_before);
 
     // One SplitMix64 step decorrelates consecutive job indices into
-    // independent-looking RNG seeds (the regression replayer derives its
-    // per-bundle streams the same way).
+    // independent-looking RNG seeds.
     let jobs: Vec<TestJob> = (0..pools.len() * config.iterations)
         .map(|index| {
             let stream = round_seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);

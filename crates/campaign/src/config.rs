@@ -22,12 +22,6 @@ pub struct CampaignConfig {
     /// Print a per-round progress line to stderr (`--verbose` on the CLI).
     /// Off by default: libraries and tests should stay silent.
     pub heartbeat: bool,
-    /// Record a cumulative [`yinyang_coverage`] snapshot per round (the
-    /// Fig. 9/10-style coverage trajectory). Off by default: coverage
-    /// state is process-global, so trajectories are only meaningful when
-    /// one campaign owns the process — the CLI turns this on, libraries
-    /// and concurrent tests leave it off.
-    pub coverage_trajectory: bool,
 }
 
 impl Default for CampaignConfig {
@@ -39,7 +33,6 @@ impl Default for CampaignConfig {
             rng_seed: 0xD1CE,
             threads: 1,
             heartbeat: false,
-            coverage_trajectory: false,
         }
     }
 }

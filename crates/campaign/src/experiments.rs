@@ -6,10 +6,10 @@ use crate::campaign::{run_campaign_full, run_concatfuzz_round, FindingForensics}
 use crate::config::{fast_solver_config, CampaignConfig, CampaignOutcome};
 use crate::telemetry::Telemetry;
 use crate::triage::{representatives, soundness_representatives, triage, Triage};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use yinyang_core::{concat_fuzz, run_catching, Fuser, Oracle, SolverAnswer};
-use yinyang_coverage::{reset, snapshot, universe, CoverageSnapshot, ProbeKind};
+use yinyang_coverage::{measure, CoverageSnapshot, ProbeKind};
 use yinyang_faults::{history, registry, releases_of, BugClass, BugStatus, FaultySolver, SolverId};
 use yinyang_rt::impl_json_struct;
 use yinyang_rt::{MetricsSnapshot, Rng, StdRng};
@@ -86,8 +86,8 @@ pub fn fig8_campaign(config: &CampaignConfig) -> Fig8Result {
 
 /// [`fig8_campaign`] keeping the forensic raw material: per-finding job
 /// telemetry (for reproduction bundles) and the full metrics snapshot
-/// (for `--metrics-out`). Coverage trajectories land in
-/// `telemetry.coverage_rounds` when the config asks for them.
+/// (for `--metrics-out`). Both campaigns' per-round coverage
+/// trajectories land in `telemetry.coverage_rounds`.
 pub fn fig8_campaign_full(config: &CampaignConfig) -> Fig8Run {
     let zirkon = run_campaign_full(config, SolverId::Zirkon);
     let corvus = run_campaign_full(config, SolverId::Corvus);
@@ -250,9 +250,17 @@ pub struct CoverageArm {
     pub cells: BTreeMap<(String, &'static str), CoverageSnapshot>,
 }
 
+/// The denominator of Figs. 11 and 12: every probe site some cell of the
+/// experiment reached.
+fn universe<'a>(arms: &[&'a CoverageArm]) -> BTreeSet<&'a str> {
+    arms.iter().flat_map(|arm| arm.cells.values()).flat_map(CoverageSnapshot::sites).collect()
+}
+
 /// Runs RQ3's coverage experiment: for every Fig. 7 benchmark and oracle,
 /// the coverage of the seeds alone (`Benchmark`), seeds + concatenation
-/// (`ConcatFuzz`), and seeds + fusion (`YinYang`).
+/// (`ConcatFuzz`), and seeds + fusion (`YinYang`). Each cell counts only
+/// its own solver calls ([`measure`]), whatever else the process ran
+/// before or runs at the same time.
 pub fn coverage_experiment(
     scale: usize,
     fuzz_tests: usize,
@@ -272,37 +280,36 @@ pub fn coverage_experiment(
                 continue;
             }
             let key = (row.name.to_owned(), if oracle == Oracle::Sat { "SAT" } else { "UNSAT" });
-            // Arm 1: seeds only.
-            reset();
-            for s in &pool {
-                let _ = solver.solve_script(&s.script);
-            }
-            benchmark_arm.cells.insert(key.clone(), snapshot());
-            // Arm 2: seeds + ConcatFuzz tests.
-            reset();
-            for s in &pool {
-                let _ = solver.solve_script(&s.script);
-            }
-            for _ in 0..fuzz_tests {
-                let s1 = pool[rng.random_range(0..pool.len())];
-                let s2 = pool[rng.random_range(0..pool.len())];
-                let script = concat_fuzz(oracle, &s1.script, &s2.script);
-                let _ = solver.solve_script(&script);
-            }
-            concat_arm.cells.insert(key.clone(), snapshot());
-            // Arm 3: seeds + YinYang fused tests.
-            reset();
-            for s in &pool {
-                let _ = solver.solve_script(&s.script);
-            }
-            for _ in 0..fuzz_tests {
-                let s1 = pool[rng.random_range(0..pool.len())];
-                let s2 = pool[rng.random_range(0..pool.len())];
-                if let Ok(fused) = fuser.fuse(&mut rng, oracle, &s1.script, &s2.script) {
-                    let _ = solver.solve_script(&fused.script);
+            let solve_seeds = || {
+                for s in &pool {
+                    let _ = solver.solve_script(&s.script);
                 }
-            }
-            yinyang_arm.cells.insert(key, snapshot());
+            };
+            // Arm 1: seeds only.
+            benchmark_arm.cells.insert(key.clone(), measure(solve_seeds));
+            // Arm 2: seeds + ConcatFuzz tests.
+            let concat = measure(|| {
+                solve_seeds();
+                for _ in 0..fuzz_tests {
+                    let s1 = pool[rng.random_range(0..pool.len())];
+                    let s2 = pool[rng.random_range(0..pool.len())];
+                    let script = concat_fuzz(oracle, &s1.script, &s2.script);
+                    let _ = solver.solve_script(&script);
+                }
+            });
+            concat_arm.cells.insert(key.clone(), concat);
+            // Arm 3: seeds + YinYang fused tests.
+            let yinyang = measure(|| {
+                solve_seeds();
+                for _ in 0..fuzz_tests {
+                    let s1 = pool[rng.random_range(0..pool.len())];
+                    let s2 = pool[rng.random_range(0..pool.len())];
+                    if let Ok(fused) = fuser.fuse(&mut rng, oracle, &s1.script, &s2.script) {
+                        let _ = solver.solve_script(&fused.script);
+                    }
+                }
+            });
+            yinyang_arm.cells.insert(key, yinyang);
         }
     }
     (benchmark_arm, concat_arm, yinyang_arm)
@@ -311,8 +318,8 @@ pub fn coverage_experiment(
 /// Fig. 11: the full coverage table (Benchmark vs YinYang per benchmark,
 /// oracle, and metric).
 pub fn fig11(scale: usize, fuzz_tests: usize, rng_seed: u64) -> String {
-    let (bench, _, yy) = coverage_experiment(scale, fuzz_tests, rng_seed);
-    let uni = universe();
+    let (bench, concat, yy) = coverage_experiment(scale, fuzz_tests, rng_seed);
+    let uni = universe(&[&bench, &concat, &yy]);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -353,7 +360,7 @@ pub fn fig11(scale: usize, fuzz_tests: usize, rng_seed: u64) -> String {
 /// benchmarks (RQ4's coverage comparison).
 pub fn fig12(scale: usize, fuzz_tests: usize, rng_seed: u64) -> String {
     let (bench, concat, yy) = coverage_experiment(scale, fuzz_tests, rng_seed);
-    let uni = universe();
+    let uni = universe(&[&bench, &concat, &yy]);
     let avg = |arm: &CoverageArm, kind: ProbeKind| -> f64 {
         if arm.cells.is_empty() {
             return 0.0;
@@ -364,15 +371,11 @@ pub fn fig12(scale: usize, fuzz_tests: usize, rng_seed: u64) -> String {
     let _ = writeln!(out, "Fig. 12 — average coverage (%) over all logics");
     let _ =
         writeln!(out, "{:<12} {:>9} {:>10} {:>9}", "Metric", "Benchmark", "ConcatFuzz", "YinYang");
-    for (label, kind) in [
-        ("lines", ProbeKind::Line),
-        ("functions", ProbeKind::Function),
-        ("branches", ProbeKind::Branch),
-    ] {
+    for kind in ProbeKind::ALL {
         let _ = writeln!(
             out,
             "{:<12} {:>9.1} {:>10.1} {:>9.1}",
-            label,
+            kind.plural(),
             avg(&bench, kind),
             avg(&concat, kind),
             avg(&yy, kind)

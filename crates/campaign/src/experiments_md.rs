@@ -13,9 +13,8 @@ use crate::experiments::Fig8Result;
 use std::fmt::Write as _;
 
 /// The deterministic demo-campaign config behind the `campaign` block:
-/// small enough for CI, big enough to exercise both personas, trajectory
-/// recording on, tick time implied (the CLI never flips `--wallclock`
-/// for this command).
+/// small enough for CI, big enough to exercise both personas, tick time
+/// implied (the CLI never flips `--wallclock` for this command).
 pub fn pinned_config() -> crate::config::CampaignConfig {
     crate::config::CampaignConfig {
         scale: 400,
@@ -24,7 +23,6 @@ pub fn pinned_config() -> crate::config::CampaignConfig {
         rng_seed: 0xD1CE,
         threads: 1,
         heartbeat: false,
-        coverage_trajectory: true,
     }
 }
 

@@ -5,7 +5,7 @@
 //!   fault-injected personas, with the paper's multi-threaded mode;
 //! * [`telemetry`] — the report-facing condensation of the run's
 //!   [`yinyang_rt::metrics`] snapshot (per-stage timing, solver
-//!   statistics);
+//!   statistics, coverage totals and the per-round coverage trajectory);
 //! * [`triage`](mod@triage) — findings → Fig. 8a/8b/8c tables;
 //! * [`regress`] — replays `--bundle-dir` reproduction bundles against an
 //!   arbitrary persona release and classifies each finding as

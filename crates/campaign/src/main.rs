@@ -18,6 +18,9 @@ usage: yinyang <command> [arguments] [options]
 commands:
   exp <which>                     regenerate an evaluation figure; <which> is one of
                                   fig7 fig8 fig9 fig10 fig11 fig12 rq4 throughput fp all
+                                  [default all]. fig7 reads only --scale; fig11 and
+                                  fig12 only --scale --iterations --seed; fp only
+                                  --seed; throughput no option
   fuzz                            run the bug-finding campaign, print findings
   regress <bundle-dir>...         replay fuzz --bundle-dir reproduction bundles
                                   against a solver build (--release) and classify
@@ -47,8 +50,8 @@ options (read only by the commands in parentheses):
   --iterations N   (exp, fuzz) fused tests per (benchmark, oracle)
                    round                                        [default 30]
   --rounds N       (exp, fuzz) fix-and-retest rounds            [default 3]
-  --seed N         (exp, fuzz, regress, fuse) RNG seed; same seed
-                   replays byte-identically                  [default 53710]
+  --seed N         (exp, fuzz, fuse) RNG seed; same seed replays
+                   byte-identically                          [default 53710]
   --threads N      (exp, fuzz, regress) worker threads (replay-safe at
                    any count); 0 = auto-detect from the machine's
                    available parallelism                        [default 1]
@@ -87,10 +90,11 @@ options (read only by the commands in parentheses):
                    instead of deterministic ticks (breaks --seed replay of
                    traced durations)
 
-An unknown command or option, an option the command does not read, an
-argument beyond those the command takes, a malformed number and
---scale 0 are errors: the command prints one line naming the argument
-on stderr and exits 1 before doing any work.
+An unknown command, experiment or option, an option the command (or
+the experiment of exp) does not read, an argument beyond those the
+command takes, a malformed number and --scale 0 are errors: the command
+prints one line naming the argument on stderr and exits 1 before doing
+any work.
 ";
 
 fn main() -> ExitCode {
@@ -214,7 +218,7 @@ const FLAGS: &[(&str, &[&str], Setter)] = &[
     ("--scale", &["exp", "fuzz"], Setter::Num(|c, _, n| c.scale = n)),
     ("--iterations", &["exp", "fuzz"], Setter::Num(|c, _, n| c.iterations = n)),
     ("--rounds", &["exp", "fuzz"], Setter::Num(|c, _, n| c.rounds = n)),
-    ("--seed", &["exp", "fuzz", "regress", "fuse"], Setter::Num(|c, _, n| c.rng_seed = n as u64)),
+    ("--seed", &["exp", "fuzz", "fuse"], Setter::Num(|c, _, n| c.rng_seed = n as u64)),
     ("--threads", &["exp", "fuzz", "regress"], Setter::Num(|c, _, n| c.threads = n)),
     ("--json", &["fuzz", "regress", "profile"], Setter::Switch(|_, o| o.json = true)),
     ("--verbose", &["exp", "fuzz"], Setter::Switch(|c, _| c.heartbeat = true)),
@@ -235,9 +239,26 @@ const FLAGS: &[(&str, &[&str], Setter)] = &[
     ("--check", &["experiments-md"], Setter::Switch(|_, o| o.check = true)),
 ];
 
+/// Every experiment `exp` runs, with the options it reads (as `run_exp`
+/// routes them); `None` reads every option [`FLAGS`] gives `exp`, as the
+/// campaign experiments do. `exp` refuses any other option.
+const EXPERIMENTS: &[(&str, Option<&[&str]>)] = &[
+    ("fig7", Some(&["--scale"])),
+    ("fig8", None),
+    ("fig9", None),
+    ("fig10", None),
+    ("fig11", Some(&["--scale", "--iterations", "--seed"])),
+    ("fig12", Some(&["--scale", "--iterations", "--seed"])),
+    ("rq4", None),
+    ("throughput", Some(&[])),
+    ("fp", Some(&["--seed"])),
+    ("all", None),
+];
+
 /// A command-line argument the command does not take.
 enum ArgError {
     UnknownCommand(String),
+    UnknownExperiment(String),
     UnknownOption(String),
     NotRead { command: String, option: String },
     Surplus { command: String, arg: String },
@@ -254,6 +275,9 @@ impl std::fmt::Display for ArgError {
             }
             ArgError::UnknownCommand(c) => {
                 write!(f, "unknown command `{c}`; run `yinyang help` for the list")
+            }
+            ArgError::UnknownExperiment(e) => {
+                write!(f, "unknown experiment `{e}`; run `yinyang help` for the list")
             }
             ArgError::UnknownOption(o) => {
                 write!(f, "unknown option `{o}`; run `yinyang help` for the list")
@@ -273,9 +297,10 @@ impl std::fmt::Display for ArgError {
     }
 }
 
-/// Parses `yinyang <command> [arguments] [options]` against [`COMMANDS`]
-/// and [`FLAGS`]. `Ok(None)` asks for the usage text (`help`, `-h`,
-/// `--help`). No command runs before every argument has been checked.
+/// Parses `yinyang <command> [arguments] [options]` against [`COMMANDS`],
+/// [`FLAGS`] and, for `exp`, [`EXPERIMENTS`]. `Ok(None)` asks for the
+/// usage text (`help`, `-h`, `--help`). No command runs before every
+/// argument has been checked.
 fn parse_args(args: &[String]) -> Result<Option<Cli>, ArgError> {
     let command = args[0].as_str();
     if matches!(command, "-h" | "--help") {
@@ -287,6 +312,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, ArgError> {
     let mut config = CampaignConfig::default();
     let mut opts = CliOpts::default();
     let mut positional = Vec::new();
+    let mut options = Vec::new();
     let mut rest = args[1..].iter();
     while let Some(arg) = rest.next() {
         if arg == "-h" || arg == "--help" {
@@ -305,6 +331,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, ArgError> {
         if !readers.contains(&command) {
             return Err(ArgError::NotRead { command: command.to_owned(), option: arg.clone() });
         }
+        options.push(arg);
         match setter {
             Setter::Switch(set) => set(&mut config, &mut opts),
             Setter::Num(set) => {
@@ -321,6 +348,19 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, ArgError> {
             }
         }
     }
+    if command == "exp" {
+        let which = positional.first().map_or("all", String::as_str);
+        let Some((_, reads)) = EXPERIMENTS.iter().find(|(name, _)| *name == which) else {
+            return Err(ArgError::UnknownExperiment(which.to_owned()));
+        };
+        let unread = options.iter().find(|o| reads.is_some_and(|r| !r.contains(&o.as_str())));
+        if let Some(option) = unread {
+            return Err(ArgError::NotRead {
+                command: format!("exp {which}"),
+                option: option.to_string(),
+            });
+        }
+    }
     if config.scale == 0 {
         // The seed inventory divides by the scale.
         return Err(ArgError::ZeroScale);
@@ -333,7 +373,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, ArgError> {
 
 fn dispatch(command: &str, args: &[String], config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
     match command {
-        "exp" => run_exp(args.first().map(String::as_str), config),
+        "exp" => run_exp(args.first().map_or("all", String::as_str), config),
         "fuzz" => run_fuzz(config, opts),
         "regress" => run_regress_cmd(args, config, opts),
         "profile" => {
@@ -588,24 +628,15 @@ fn finish_status_server(server: Option<yinyang_rt::StatusServer>) {
     server.shutdown();
 }
 
-/// The `fuzz` command: full campaign with coverage trajectory (the CLI
-/// process owns the global coverage state, so trajectories are sound
-/// here), plus the forensic outputs behind `--bundle-dir` /
-/// `--metrics-out`.
+/// The `fuzz` command: full campaign, plus the forensic outputs behind
+/// `--bundle-dir` / `--metrics-out`.
 fn run_fuzz(config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
     let server = match start_status_server(opts, "fuzz") {
         Ok(server) => server,
         Err(code) => return code,
     };
-    let mut config = config.clone();
-    config.coverage_trajectory = true;
-    let run = experiments::fig8_campaign_full(&config);
-    // Coverage gauges live outside the replay-safe per-job deltas
-    // (coverage state is process-global); attach them here, at the
-    // report boundary. Totals are scheduling-independent.
-    yinyang_coverage::export_metrics(&yinyang_coverage::snapshot());
-    let mut result = run.result;
-    result.telemetry.gauges.extend(yinyang_rt::metrics::snapshot().gauges);
+    let run = experiments::fig8_campaign_full(config);
+    let result = run.result;
     if let Some(path) = &opts.metrics_out {
         if let Err(e) = std::fs::write(path, run.metrics.to_json().pretty() + "\n") {
             eprintln!("cannot write metrics to {path}: {e}");
@@ -671,7 +702,6 @@ fn run_regress_cmd(dirs: &[String], config: &CampaignConfig, opts: &CliOpts) -> 
     let regress_config = yinyang_campaign::RegressConfig {
         release: opts.release.clone().unwrap_or_else(|| "trunk".to_owned()),
         threads: config.threads,
-        rng_seed: config.rng_seed,
     };
     match yinyang_campaign::run_regress_full(&roots, &regress_config) {
         Ok(run) => {
@@ -756,32 +786,28 @@ fn run_experiments_md(path: &str, opts: &CliOpts) -> ExitCode {
     }
 }
 
-fn run_exp(which: Option<&str>, config: &CampaignConfig) -> ExitCode {
+fn run_exp(which: &str, config: &CampaignConfig) -> ExitCode {
     let coverage_tests = config.iterations;
     match which {
-        Some("fig7") => print!("{}", experiments::fig7(config.scale)),
-        Some("fig8") => print!("{}", experiments::render_fig8(&experiments::fig8_campaign(config))),
-        Some("fig9") => {
+        "fig7" => print!("{}", experiments::fig7(config.scale)),
+        "fig8" => print!("{}", experiments::render_fig8(&experiments::fig8_campaign(config))),
+        "fig9" => {
             let r = experiments::fig8_campaign(config);
             print!("{}", experiments::fig9(&r));
         }
-        Some("fig10") => {
+        "fig10" => {
             let r = experiments::fig8_campaign(config);
             print!("{}", experiments::fig10(&r));
         }
-        Some("fig11") => {
-            print!("{}", experiments::fig11(config.scale, coverage_tests, config.rng_seed))
-        }
-        Some("fig12") => {
-            print!("{}", experiments::fig12(config.scale, coverage_tests, config.rng_seed))
-        }
-        Some("rq4") => {
+        "fig11" => print!("{}", experiments::fig11(config.scale, coverage_tests, config.rng_seed)),
+        "fig12" => print!("{}", experiments::fig12(config.scale, coverage_tests, config.rng_seed)),
+        "rq4" => {
             let r = experiments::fig8_campaign(config);
             print!("{}", experiments::rq4(&r, config));
         }
-        Some("throughput") => print!("{}", experiments::throughput(2.0)),
-        Some("fp") => print!("{}", experiments::false_positive_check(10, config.rng_seed)),
-        Some("all") | None => {
+        "throughput" => print!("{}", experiments::throughput(2.0)),
+        "fp" => print!("{}", experiments::false_positive_check(10, config.rng_seed)),
+        "all" => {
             print!("{}", experiments::fig7(config.scale));
             println!();
             let r = experiments::fig8_campaign(config);
@@ -801,10 +827,7 @@ fn run_exp(which: Option<&str>, config: &CampaignConfig) -> ExitCode {
             println!();
             print!("{}", experiments::false_positive_check(6, config.rng_seed));
         }
-        Some(other) => {
-            eprintln!("unknown experiment: {other}");
-            return ExitCode::FAILURE;
-        }
+        _ => unreachable!("parse_args admits only the experiments in EXPERIMENTS"),
     }
     ExitCode::SUCCESS
 }

@@ -54,12 +54,12 @@
 //! ## Determinism
 //!
 //! Replays run on the [`yinyang_rt::pool`] thread pool as a flat job
-//! list, one job per unique key, each with its own decorrelated RNG
-//! stream seed, private metrics bracket and drained trace events; the
-//! driver merges deltas and events in job order. Reports and `--trace`
+//! list, one job per unique key, each with its own private metrics
+//! bracket and drained trace events; the driver merges deltas and events
+//! in job order. Replays draw no random numbers. Reports and `--trace`
 //! files are therefore byte-identical across `--threads` counts and
-//! repeated runs, and the `regress.*` counters and `span.regress.*`
-//! histograms in the embedded telemetry are too.
+//! repeated runs, and the `regress.*` counters, `span.regress.*`
+//! histograms and coverage totals in the embedded telemetry are too.
 
 use crate::config::{fast_solver_config, Behavior};
 use crate::telemetry::Telemetry;
@@ -70,7 +70,7 @@ use yinyang_core::{run_catching, SolverAnswer};
 use yinyang_faults::{releases_of, FaultySolver, SolverId};
 use yinyang_rt::json::{FromJson, Json};
 use yinyang_rt::trace::{self, TraceEvent};
-use yinyang_rt::{impl_json_struct, metrics, SplitMix64, StdRng};
+use yinyang_rt::{impl_json_struct, metrics};
 use yinyang_smtlib::{parse_script, Script};
 
 /// Knobs of a regression replay.
@@ -83,13 +83,11 @@ pub struct RegressConfig {
     pub release: String,
     /// Worker threads; replay-safe at any count.
     pub threads: usize,
-    /// Base seed for the per-bundle RNG streams recorded in the report.
-    pub rng_seed: u64,
 }
 
 impl Default for RegressConfig {
     fn default() -> Self {
-        RegressConfig { release: "trunk".to_owned(), threads: 1, rng_seed: 0xD1CE }
+        RegressConfig { release: "trunk".to_owned(), threads: 1 }
     }
 }
 
@@ -148,9 +146,6 @@ pub struct RegressEntry {
     /// `dir` of the representative this bundle deduplicated into; empty
     /// for representatives and stale bundles.
     pub duplicate_of: String,
-    /// The bundle's decorrelated RNG stream seed (same splitting scheme
-    /// as campaign jobs); 0 for stale bundles.
-    pub replay_seed: u64,
 }
 
 impl_json_struct!(RegressEntry {
@@ -166,7 +161,6 @@ impl_json_struct!(RegressEntry {
     triggered_bug,
     script_hash,
     duplicate_of,
-    replay_seed,
 });
 
 /// Totals over all entries (duplicates count toward their inherited
@@ -210,7 +204,8 @@ pub struct RegressReport {
     /// Status totals and dedup accounting.
     pub summary: RegressSummary,
     /// Merged per-job metrics (`regress.*` counters, `span.regress.*`
-    /// stages, solver statistics), identical across thread counts.
+    /// stages, solver statistics, coverage totals), identical across
+    /// thread counts.
     pub telemetry: Telemetry,
 }
 
@@ -407,12 +402,8 @@ fn answer_str(answer: &SolverAnswer) -> String {
 /// finding's solver configuration, runs both scripts on it and classifies
 /// the bundle, all inside one private metrics bracket whose trace events
 /// the job drains and returns.
-fn replay_one(bundle: &LoadedBundle, release: &str, rng_seed: u64) -> ReplayResult {
+fn replay_one(bundle: &LoadedBundle, release: &str) -> ReplayResult {
     let before = metrics::local_snapshot();
-    // The stream is decorrelated per bundle so future randomized replay
-    // modes (input shaking, budget jitter) stay scheduling-independent;
-    // today's deterministic solver only draws the recorded seed.
-    let _rng = StdRng::seed_from_u64(rng_seed);
     let mut result = match rebuild_on_release(bundle, release) {
         Ok(solver) => {
             let _span = yinyang_rt::span!("regress.solve", fingerprint = bundle.fingerprint);
@@ -500,26 +491,19 @@ pub fn run_regress_full(roots: &[PathBuf], config: &RegressConfig) -> Result<Reg
         });
     }
 
-    let seeds: Vec<u64> = (0..jobs.len())
-        .map(|j| {
-            let stream = config.rng_seed ^ (j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            SplitMix64::new(stream).next_u64()
-        })
-        .collect();
     // The driver's own delta and events are taken *before* dispatch: with
     // `threads: 1` the jobs run inline on this thread, so a later snapshot
     // would double-count their (already self-bracketed) metrics, and the
     // first job would drain the load spans as its own events.
     let mut merged = metrics::local_snapshot().delta(&driver_before);
     let mut events = trace::take_events();
-    let job_inputs: Vec<(usize, u64)> = jobs.iter().copied().zip(seeds.iter().copied()).collect();
     let progress = yinyang_rt::serve::progress();
-    progress.add_jobs(job_inputs.len() as u64);
-    let mut results = yinyang_rt::pool::parallel_map(config.threads, job_inputs, |(rec, seed)| {
+    progress.add_jobs(jobs.len() as u64);
+    let mut results = yinyang_rt::pool::parallel_map(config.threads, jobs.clone(), |rec| {
         let BundleRecord::Ok(bundle) = &records[rec] else {
             unreachable!("jobs are loaded bundles")
         };
-        let result = replay_one(bundle, &config.release, seed);
+        let result = replay_one(bundle, &config.release);
         // Live `/status` job counter only — a relaxed atomic bump that
         // leaves the job's telemetry bracket and report bytes untouched.
         progress.job_done();
@@ -578,7 +562,6 @@ pub fn run_regress_full(roots: &[PathBuf], config: &RegressConfig) -> Result<Reg
                     triggered_bug: result.triggered_bug,
                     script_hash: format!("{:016x}", bundle.reduced_hash),
                     duplicate_of,
-                    replay_seed: seeds[job],
                 }
             }
         };

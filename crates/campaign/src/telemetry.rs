@@ -5,15 +5,17 @@
 //! six-number summaries. [`Telemetry::from_snapshot`] splits the
 //! histograms into *stages* (the `span.*` family recorded by
 //! [`yinyang_rt::span!`] around seedgen/fusion/solve/oracle/triage) and
-//! everything else, and carries counters — including the solver's own
+//! everything else, carries counters — including the solver's own
 //! statistics (`solver.sat.*`, `solver.simplex.pivots`,
-//! `solver.strings.*`) — and gauges through unchanged.
+//! `solver.strings.*`) — through unchanged, and folds the per-site
+//! `coverage.*` probe counters into per-kind site and hit totals.
 //!
 //! Because campaign snapshots are assembled from per-job deltas merged in
 //! job order, a `Telemetry` embedded in a report is byte-identical across
 //! replays of the same seed, sequential or sharded.
 
 use std::collections::BTreeMap;
+use yinyang_coverage::{CoverageSnapshot, ProbeKind};
 use yinyang_rt::impl_json_struct;
 use yinyang_rt::{HistogramSummary, MetricsSnapshot};
 
@@ -41,6 +43,23 @@ pub struct CoverageRound {
     pub branches_hits: u64,
 }
 
+impl CoverageRound {
+    /// The trajectory point of `solver`'s campaign after `round`, whose
+    /// probe hits since the campaign started are `cumulative`.
+    pub fn new(solver: &str, round: usize, cumulative: &CoverageSnapshot) -> CoverageRound {
+        CoverageRound {
+            solver: solver.to_owned(),
+            round,
+            lines_sites: cumulative.hits_of_kind(ProbeKind::Line),
+            functions_sites: cumulative.hits_of_kind(ProbeKind::Function),
+            branches_sites: cumulative.hits_of_kind(ProbeKind::Branch),
+            lines_hits: cumulative.count_of_kind(ProbeKind::Line),
+            functions_hits: cumulative.count_of_kind(ProbeKind::Function),
+            branches_hits: cumulative.count_of_kind(ProbeKind::Branch),
+        }
+    }
+}
+
 impl_json_struct!(CoverageRound {
     solver,
     round,
@@ -56,19 +75,19 @@ impl_json_struct!(CoverageRound {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Telemetry {
     /// Monotonic event counts (fusion attempts, solver statistics, bug
-    /// triggers, ...).
+    /// triggers, ...), without the per-site coverage probes.
     pub counters: BTreeMap<String, u64>,
-    /// Instantaneous values (coverage site counts, ...).
-    pub gauges: BTreeMap<String, i64>,
+    /// Coverage totals over the probe counters: distinct sites and hits
+    /// per kind (`coverage.lines.sites`, `coverage.lines.hits`, ...).
+    pub gauges: BTreeMap<String, u64>,
     /// Per-stage duration summaries, keyed by span name (`seedgen`,
     /// `fusion`, `solve`, `oracle`, `triage`), in [`yinyang_rt::trace::unit`]
     /// units.
     pub stages: BTreeMap<String, HistogramSummary>,
     /// Summaries of non-span histograms (e.g. `solver.strings.search_vars`).
     pub histograms: BTreeMap<String, HistogramSummary>,
-    /// Per-round cumulative coverage trajectory (empty unless
-    /// [`crate::CampaignConfig::coverage_trajectory`] was on — the CLI
-    /// enables it, libraries leave it off).
+    /// Per-round cumulative coverage trajectory of each campaign (empty
+    /// for regression replays).
     pub coverage_rounds: Vec<CoverageRound>,
 }
 
@@ -77,11 +96,19 @@ impl_json_struct!(Telemetry { counters, gauges, stages, histograms, coverage_rou
 impl Telemetry {
     /// Condenses a snapshot into report form.
     pub fn from_snapshot(snap: &MetricsSnapshot) -> Telemetry {
-        let mut t = Telemetry {
-            counters: snap.counters.clone(),
-            gauges: snap.gauges.clone(),
-            ..Telemetry::default()
-        };
+        let mut t = Telemetry::default();
+        for (name, count) in &snap.counters {
+            if ProbeKind::of_counter(name).is_none() {
+                t.counters.insert(name.clone(), *count);
+            }
+        }
+        let coverage = CoverageSnapshot::from_metrics(snap);
+        for kind in ProbeKind::ALL {
+            let kind_name = kind.plural();
+            t.gauges
+                .insert(format!("coverage.{kind_name}.sites"), coverage.hits_of_kind(kind) as u64);
+            t.gauges.insert(format!("coverage.{kind_name}.hits"), coverage.count_of_kind(kind));
+        }
         for (name, h) in &snap.histograms {
             match name.strip_prefix("span.") {
                 Some(stage) => t.stages.insert(stage.to_owned(), h.summary()),
@@ -133,6 +160,28 @@ mod tests {
         assert_eq!(t.histograms["solver.strings.search_vars"].count, 1);
         assert_eq!(t.counter("solver.sat.conflicts"), 17);
         assert_eq!(t.counter("missing"), 0);
+    }
+
+    #[test]
+    fn probe_counters_fold_into_coverage_totals() {
+        let snap = snapshot_with(
+            &[],
+            &[
+                ("coverage.line.a", 2),
+                ("coverage.line.b", 3),
+                ("coverage.branch.c/t", 4),
+                ("coverage.branch.c/f", 1),
+                ("fusion.attempts", 5),
+            ],
+        );
+        let t = Telemetry::from_snapshot(&snap);
+        assert_eq!(t.counters.keys().collect::<Vec<_>>(), ["fusion.attempts"]);
+        assert_eq!(t.gauges["coverage.lines.sites"], 2);
+        assert_eq!(t.gauges["coverage.lines.hits"], 5);
+        assert_eq!(t.gauges["coverage.branches.sites"], 2);
+        assert_eq!(t.gauges["coverage.branches.hits"], 5);
+        assert_eq!(t.gauges["coverage.functions.sites"], 0);
+        assert_eq!(t.gauges.len(), 6);
     }
 
     #[test]

@@ -133,7 +133,8 @@ fn fuzz_rejects_unknown_flags_and_malformed_numbers() {
 }
 
 /// An option the command does not read (including the removed fleet
-/// options), an argument beyond those the command takes, a single-dash
+/// options), an option the experiment of `exp` does not read, an unknown
+/// experiment, an argument beyond those the command takes, a single-dash
 /// option, `--scale 0` and an oracle other than `sat`/`unsat` are refused
 /// the same way: exit 1, nothing on stdout, one stderr line naming the
 /// argument.
@@ -149,6 +150,18 @@ fn arguments_the_command_does_not_take_are_refused() {
         (&["solve", "f.smt2", "--seed", "4"], "--seed"),
         (&["export", "t.jsonl", "--json"], "--json"),
         (&["exp", "fig7", "--json"], "--json"),
+        (&["exp", "fig7", "--trace", "t.jsonl"], "--trace"),
+        (&["exp", "fig7", "--threads", "4"], "--threads"),
+        (&["exp", "fig7", "--seed", "3"], "--seed"),
+        (&["exp", "fig11", "--rounds", "9"], "--rounds"),
+        (&["exp", "fig11", "--threads", "3"], "--threads"),
+        (&["exp", "--trace", "t.jsonl", "fig12"], "--trace"),
+        (&["exp", "fig12", "--quiet"], "--quiet"),
+        (&["exp", "fp", "--scale", "2"], "--scale"),
+        (&["exp", "fp", "--iterations", "2"], "--iterations"),
+        (&["exp", "throughput", "--seed", "1"], "--seed"),
+        (&["exp", "nosuch"], "nosuch"),
+        (&["regress", "bundles", "--seed", "3"], "--seed"),
         (&["experiments-md", "--bench-report", "r.json"], "--bench-report"),
         (&["fuzz", "stray"], "stray"),
         (&["solve", "f.smt2", "g.smt2"], "g.smt2"),

@@ -10,7 +10,9 @@
 
 use std::process::Command;
 use yinyang_campaign::config::CampaignConfig;
-use yinyang_campaign::experiments::{fig8_campaign, render_fig8};
+use yinyang_campaign::experiments::{fig11, fig8_campaign, render_fig8};
+use yinyang_campaign::run_campaign_full;
+use yinyang_faults::SolverId;
 use yinyang_rt::json::ToJson;
 use yinyang_rt::{props, Rng, StdRng};
 
@@ -70,6 +72,36 @@ fn parallel_campaigns_replay_byte_identically() {
     let first = fig8_campaign(&config).to_json().pretty();
     let second = fig8_campaign(&config).to_json().pretty();
     assert_eq!(first, second);
+}
+
+/// Coverage is per job: a campaign's trajectory counts only its own probe
+/// hits, so two campaigns running at once in one process each report the
+/// trajectory they report alone.
+#[test]
+fn concurrent_campaigns_report_the_coverage_trajectories_they_report_alone() {
+    let config =
+        |seed| CampaignConfig { iterations: 2, rounds: 2, rng_seed: seed, ..Default::default() };
+    let (a, b) = (config(3), config(4));
+    let alone_a = run_campaign_full(&a, SolverId::Zirkon).coverage_rounds;
+    let alone_b = run_campaign_full(&b, SolverId::Corvus).coverage_rounds;
+    assert_eq!(alone_a.len(), 2, "one trajectory point per round");
+    assert!(alone_a[1].lines_hits > alone_a[0].lines_hits, "{alone_a:?}");
+    let (together_a, together_b) = std::thread::scope(|s| {
+        let a = s.spawn(|| run_campaign_full(&a, SolverId::Zirkon).coverage_rounds);
+        let b = s.spawn(|| run_campaign_full(&b, SolverId::Corvus).coverage_rounds);
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(together_a, alone_a);
+    assert_eq!(together_b, alone_b);
+}
+
+/// Fig. 11's denominator is the union of its own cells, so a campaign
+/// that ran earlier in the process does not change the table.
+#[test]
+fn fig11_does_not_depend_on_what_ran_before_it() {
+    let before = fig11(1600, 2, 5);
+    fig8_campaign(&CampaignConfig { iterations: 2, rounds: 1, rng_seed: 5, ..Default::default() });
+    assert_eq!(fig11(1600, 2, 5), before);
 }
 
 /// The JSON report and the rendered Fig. 8 markdown of one campaign.
@@ -235,8 +267,8 @@ fn fuzz_json_report_carries_telemetry() {
     }
     let counters = telemetry.get("counters").expect("telemetry has counters");
     assert!(counters.get("solver.sat.decisions").is_some(), "missing solver statistics");
-    // The CLI records the per-round coverage trajectory (one entry per
-    // persona per round).
+    // Every campaign records its per-round coverage trajectory (one entry
+    // per persona per round).
     let rounds = telemetry
         .get("coverage_rounds")
         .and_then(yinyang_rt::json::Json::as_arr)

@@ -2,37 +2,41 @@
 //!
 //! The paper's RQ3 measures line/function/branch coverage of the solvers
 //! under different input sets with Gcov. Our solver is instrumented with
-//! *probe points* instead: macros that record a hit in a global map, tagged
-//! with a [`ProbeKind`] mirroring Gcov's three metrics.
+//! *probe points* instead: macros that count a hit on an
+//! [`yinyang_rt::metrics`] counter named after the probe's [`ProbeKind`]
+//! (mirroring Gcov's three metrics) and site.
 //!
-//! * [`probe_fn!`] at function entry → function coverage;
-//! * [`probe_branch!`] around a condition → branch coverage (both arms are
-//!   distinct probes);
-//! * [`probe_line!`] at interesting statements → line coverage.
+//! * [`probe_fn!`] at function entry → function coverage
+//!   (`coverage.function.<site>`);
+//! * [`probe_branch!`] around a condition → branch coverage; the two arms
+//!   are distinct sites (`coverage.branch.<site>/t` and `/f`);
+//! * [`probe_line!`] at interesting statements → line coverage
+//!   (`coverage.line.<site>`).
 //!
-//! Coverage percentages are computed against the *registry* of all probes
-//! that fired in any run of the process (a union denominator), which is
-//! exactly the relative comparison Fig. 11 and Fig. 12 make.
+//! A hit is an ordinary counter increment in the recording thread's
+//! metrics shard, so it rides along in every per-job
+//! [`local_snapshot`](yinyang_rt::metrics::local_snapshot) delta and
+//! merges in job order like the rest of a campaign's telemetry. A
+//! [`CoverageSnapshot`] is a view over a metrics snapshot's probe
+//! counters; percentages are taken against a universe the caller chooses
+//! (Figs. 11 and 12 use the union of their own cells).
 //!
 //! # Examples
 //!
 //! ```
-//! use yinyang_coverage::{probe_fn, snapshot, reset, CoverageSnapshot};
+//! use yinyang_coverage::{measure, probe_fn, ProbeKind};
 //!
-//! reset();
 //! fn solve_something() {
 //!     probe_fn!("example::solve_something");
 //! }
-//! solve_something();
-//! let snap = snapshot();
-//! assert_eq!(snap.hits_of_kind(yinyang_coverage::ProbeKind::Function), 1);
+//! let hits = measure(solve_something);
+//! assert_eq!(hits.hits_of_kind(ProbeKind::Function), 1);
 //! ```
 
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
-use std::sync::OnceLock;
+use yinyang_rt::{metrics, MetricsSnapshot};
 
 /// The three Gcov-style metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,90 +52,70 @@ pub enum ProbeKind {
 impl ProbeKind {
     /// All kinds, in display order.
     pub const ALL: [ProbeKind; 3] = [ProbeKind::Line, ProbeKind::Function, ProbeKind::Branch];
+
+    /// The counter-name prefix of this kind's probes (the probe macros
+    /// spell the same prefixes, since `concat!` takes only literals).
+    fn prefix(self) -> &'static str {
+        match self {
+            ProbeKind::Line => "coverage.line.",
+            ProbeKind::Function => "coverage.function.",
+            ProbeKind::Branch => "coverage.branch.",
+        }
+    }
+
+    /// The plural reports use: `lines`, `functions`, `branches`.
+    pub fn plural(self) -> &'static str {
+        match self {
+            ProbeKind::Line => "lines",
+            ProbeKind::Function => "functions",
+            ProbeKind::Branch => "branches",
+        }
+    }
+
+    /// The kind of probe a metrics counter counts, if it is a probe.
+    pub fn of_counter(name: &str) -> Option<ProbeKind> {
+        ProbeKind::ALL.into_iter().find(|kind| name.starts_with(kind.prefix()))
+    }
 }
 
-/// A probe site: a static name plus kind. Branch probes append `/t` or `/f`.
-pub type SiteKey = (&'static str, ProbeKind, bool);
-
-#[derive(Default)]
-struct State {
-    /// Sites hit since the last [`reset`], with hit counts.
-    hits: BTreeMap<SiteKey, u64>,
-    /// Every site ever observed in this process — the denominator universe.
-    universe: BTreeSet<SiteKey>,
-}
-
-fn state() -> &'static Mutex<State> {
-    static STATE: OnceLock<Mutex<State>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(State::default()))
-}
-
-/// Records a hit. Usually called through the probe macros.
-pub fn record(name: &'static str, kind: ProbeKind, arm: bool) {
-    let mut s = state().lock().expect("coverage state poisoned");
-    let key = (name, kind, arm);
-    *s.hits.entry(key).or_insert(0) += 1;
-    s.universe.insert(key);
-}
-
-/// Clears per-run hits (the universe of known sites is retained).
-pub fn reset() {
-    state().lock().expect("coverage state poisoned").hits.clear();
-}
-
-/// An immutable snapshot of coverage state.
+/// The probe counters of a metrics snapshot: hit count per site.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageSnapshot {
-    hits: BTreeMap<SiteKey, u64>,
+    /// Hits keyed by probe counter name.
+    hits: BTreeMap<String, u64>,
 }
 
 impl CoverageSnapshot {
+    /// The probe counters of `snap`. Bracket work with two
+    /// [`local_snapshot`](yinyang_rt::metrics::local_snapshot)s and pass
+    /// their delta to measure exactly that work's coverage.
+    pub fn from_metrics(snap: &MetricsSnapshot) -> CoverageSnapshot {
+        let hits = snap
+            .counters
+            .iter()
+            .filter(|(name, _)| ProbeKind::of_counter(name).is_some())
+            .map(|(name, count)| (name.clone(), *count))
+            .collect();
+        CoverageSnapshot { hits }
+    }
+
+    fn of_kind(&self, kind: ProbeKind) -> impl Iterator<Item = (&String, &u64)> {
+        self.hits.iter().filter(move |(name, _)| name.starts_with(kind.prefix()))
+    }
+
     /// Sites hit, by kind.
     pub fn hits_of_kind(&self, kind: ProbeKind) -> usize {
-        self.hits.keys().filter(|(_, k, _)| *k == kind).count()
+        self.of_kind(kind).count()
     }
 
     /// Total hit count (including repeats) for all sites of a kind.
     pub fn count_of_kind(&self, kind: ProbeKind) -> u64 {
-        self.hits.iter().filter(|((_, k, _), _)| *k == kind).map(|(_, c)| c).sum()
+        self.of_kind(kind).map(|(_, count)| count).sum()
     }
 
-    /// The set of distinct sites hit.
-    pub fn sites(&self) -> BTreeSet<SiteKey> {
-        self.hits.keys().copied().collect()
-    }
-
-    /// The hits recorded in `self` but not in the earlier snapshot
-    /// `earlier` (per-site saturating subtraction; sites whose count
-    /// reaches zero are dropped). Because hit counts only grow between
-    /// two snapshots of the same process, `start.union(&d) == end` holds
-    /// for `d = end.delta(&start)` — campaigns use this to carve their
-    /// own coverage out of the process-global state: each point of a
-    /// campaign's per-round coverage trajectory counts the sites and hits
-    /// of `snapshot().delta(&start)`.
-    pub fn delta(&self, earlier: &CoverageSnapshot) -> CoverageSnapshot {
-        let mut hits = BTreeMap::new();
-        for (site, count) in &self.hits {
-            let d = count.saturating_sub(*earlier.hits.get(site).unwrap_or(&0));
-            if d > 0 {
-                hits.insert(*site, d);
-            }
-        }
-        CoverageSnapshot { hits }
-    }
-
-    /// Union of the sites in two snapshots.
-    pub fn union(&self, other: &CoverageSnapshot) -> CoverageSnapshot {
-        let mut hits = self.hits.clone();
-        for (k, v) in &other.hits {
-            *hits.entry(*k).or_insert(0) += v;
-        }
-        CoverageSnapshot { hits }
-    }
-
-    /// Whether this snapshot covers every site `other` covers.
-    pub fn covers(&self, other: &CoverageSnapshot) -> bool {
-        other.hits.keys().all(|k| self.hits.contains_key(k))
+    /// The distinct sites hit, by probe counter name.
+    pub fn sites(&self) -> impl Iterator<Item = &str> {
+        self.hits.keys().map(String::as_str)
     }
 
     /// Number of distinct sites hit.
@@ -146,83 +130,51 @@ impl CoverageSnapshot {
 
     /// Percentage of `universe` sites of `kind` that this snapshot hits.
     /// Returns 0 when the universe has no sites of the kind.
-    pub fn percent_of(&self, universe: &BTreeSet<SiteKey>, kind: ProbeKind) -> f64 {
-        let total = universe.iter().filter(|(_, k, _)| *k == kind).count();
+    pub fn percent_of(&self, universe: &BTreeSet<&str>, kind: ProbeKind) -> f64 {
+        let total = universe.iter().filter(|site| site.starts_with(kind.prefix())).count();
         if total == 0 {
             return 0.0;
         }
-        let hit = self
-            .hits
-            .keys()
-            .filter(|site @ (_, k, _)| *k == kind && universe.contains(*site))
-            .count();
+        let hit = self.of_kind(kind).filter(|(site, _)| universe.contains(site.as_str())).count();
         100.0 * hit as f64 / total as f64
     }
 }
 
-impl yinyang_rt::json::ToJson for CoverageSnapshot {
-    fn to_json(&self) -> yinyang_rt::json::Json {
-        use yinyang_rt::json::Json;
-        Json::obj(ProbeKind::ALL.map(|kind| {
-            let detail = Json::obj([
-                ("sites", Json::Int(self.hits_of_kind(kind) as i64)),
-                ("hits", Json::Int(self.count_of_kind(kind) as i64)),
-            ]);
-            let name = match kind {
-                ProbeKind::Line => "lines",
-                ProbeKind::Function => "functions",
-                ProbeKind::Branch => "branches",
-            };
-            (name, detail)
-        }))
-    }
-}
-
-/// Publishes a snapshot's per-kind site and hit counts as metrics gauges
-/// (`coverage.<kind>.sites` / `coverage.<kind>.hits`), making coverage just
-/// another metrics export alongside solver statistics.
-pub fn export_metrics(snap: &CoverageSnapshot) {
-    for kind in ProbeKind::ALL {
-        let name = match kind {
-            ProbeKind::Line => "lines",
-            ProbeKind::Function => "functions",
-            ProbeKind::Branch => "branches",
-        };
-        yinyang_rt::metrics::gauge_set(
-            &format!("coverage.{name}.sites"),
-            snap.hits_of_kind(kind) as i64,
-        );
-        yinyang_rt::metrics::gauge_set(
-            &format!("coverage.{name}.hits"),
-            snap.count_of_kind(kind) as i64,
-        );
-    }
-}
-
-/// Takes a snapshot of hits since the last [`reset`].
+/// The whole process's probe hits so far: every thread's metrics shard
+/// plus the threads that have exited.
 pub fn snapshot() -> CoverageSnapshot {
-    let s = state().lock().expect("coverage state poisoned");
-    CoverageSnapshot { hits: s.hits.clone() }
+    CoverageSnapshot::from_metrics(&metrics::snapshot())
 }
 
-/// Every probe site the process has ever observed (the Fig. 11 denominator).
-pub fn universe() -> BTreeSet<SiteKey> {
-    state().lock().expect("coverage state poisoned").universe.clone()
+/// The probe hits of `work` alone: the calling thread's hits between two
+/// [`metrics::local_snapshot`]s, so whatever other threads run at the
+/// same time does not count.
+pub fn measure(work: impl FnOnce()) -> CoverageSnapshot {
+    let before = metrics::local_snapshot();
+    work();
+    CoverageSnapshot::from_metrics(&metrics::local_snapshot().delta(&before))
+}
+
+/// Counts one hit of a probe counter. Called through the probe macros,
+/// which build the name at compile time.
+#[doc(hidden)]
+pub fn hit(counter: &'static str) {
+    metrics::counter_add(counter, 1);
 }
 
 /// Records a function-entry probe.
 #[macro_export]
 macro_rules! probe_fn {
-    ($name:expr) => {
-        $crate::record($name, $crate::ProbeKind::Function, true)
+    ($name:literal) => {
+        $crate::hit(concat!("coverage.function.", $name))
     };
 }
 
 /// Records a line/statement probe.
 #[macro_export]
 macro_rules! probe_line {
-    ($name:expr) => {
-        $crate::record($name, $crate::ProbeKind::Line, true)
+    ($name:literal) => {
+        $crate::hit(concat!("coverage.line.", $name))
     };
 }
 
@@ -231,9 +183,13 @@ macro_rules! probe_line {
 /// `if probe_branch!("simplex::bounded", x > 0) { ... }`.
 #[macro_export]
 macro_rules! probe_branch {
-    ($name:expr, $cond:expr) => {{
+    ($name:literal, $cond:expr) => {{
         let cond: bool = $cond;
-        $crate::record($name, $crate::ProbeKind::Branch, cond);
+        $crate::hit(if cond {
+            concat!("coverage.branch.", $name, "/t")
+        } else {
+            concat!("coverage.branch.", $name, "/f")
+        });
         cond
     }};
 }
@@ -241,102 +197,67 @@ macro_rules! probe_branch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    /// Coverage state is global; serialize tests touching it.
-    fn lock_tests() -> MutexGuard<'static, ()> {
-        static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-        GUARD.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|poison| poison.into_inner())
-    }
 
     #[test]
-    fn record_and_snapshot() {
-        let _g = lock_tests();
-        reset();
-        record("t::f1", ProbeKind::Function, true);
-        record("t::f1", ProbeKind::Function, true);
-        record("t::l1", ProbeKind::Line, true);
-        let snap = snapshot();
+    fn probes_count_sites_and_hits_by_kind() {
+        let snap = measure(|| {
+            probe_fn!("t::f1");
+            probe_fn!("t::f1");
+            probe_line!("t::l1");
+        });
         assert_eq!(snap.hits_of_kind(ProbeKind::Function), 1);
         assert_eq!(snap.count_of_kind(ProbeKind::Function), 2);
         assert_eq!(snap.hits_of_kind(ProbeKind::Line), 1);
         assert_eq!(snap.hits_of_kind(ProbeKind::Branch), 0);
+        assert_eq!(
+            snap.sites().collect::<Vec<_>>(),
+            ["coverage.function.t::f1", "coverage.line.t::l1"]
+        );
     }
 
     #[test]
     fn branch_macro_returns_condition() {
-        let _g = lock_tests();
-        reset();
         let x = 5;
-        let taken = probe_branch!("t::br", x > 3);
-        assert!(taken);
-        let not_taken = probe_branch!("t::br", x > 10);
-        assert!(!not_taken);
-        let snap = snapshot();
+        let snap = measure(|| {
+            assert!(probe_branch!("t::br", x > 3));
+            assert!(!probe_branch!("t::br", x > 10));
+        });
         // Two arms = two distinct branch sites.
         assert_eq!(snap.hits_of_kind(ProbeKind::Branch), 2);
+        assert_eq!(
+            snap.sites().collect::<Vec<_>>(),
+            ["coverage.branch.t::br/f", "coverage.branch.t::br/t"]
+        );
     }
 
     #[test]
-    fn reset_preserves_universe() {
-        let _g = lock_tests();
-        reset();
-        record("t::u1", ProbeKind::Line, true);
-        reset();
-        assert!(
-            snapshot().is_empty()
-                || !snapshot().sites().contains(&("t::u1", ProbeKind::Line, true))
-        );
-        assert!(universe().contains(&("t::u1", ProbeKind::Line, true)));
+    fn other_counters_are_not_probes() {
+        let snap = measure(|| {
+            metrics::counter_add("solver.sat.decisions", 3);
+            probe_line!("t::o1");
+        });
+        assert_eq!(snap.len(), 1);
+        assert_eq!(ProbeKind::of_counter("coverage.lines.sites"), None);
+        assert_eq!(ProbeKind::of_counter("coverage.branch.x/t"), Some(ProbeKind::Branch));
     }
 
     #[test]
     fn percent_against_universe() {
-        let _g = lock_tests();
-        reset();
-        record("t::p1", ProbeKind::Line, true);
-        record("t::p2", ProbeKind::Line, true);
-        let both = snapshot();
-        reset();
-        record("t::p1", ProbeKind::Line, true);
-        let one = snapshot();
-        let mut uni = BTreeSet::new();
-        uni.insert(("t::p1", ProbeKind::Line, true));
-        uni.insert(("t::p2", ProbeKind::Line, true));
-        assert_eq!(both.percent_of(&uni, ProbeKind::Line), 100.0);
-        assert_eq!(one.percent_of(&uni, ProbeKind::Line), 50.0);
-        assert_eq!(one.percent_of(&uni, ProbeKind::Branch), 0.0);
+        let both = measure(|| {
+            probe_line!("t::p1");
+            probe_line!("t::p2");
+        });
+        let one = measure(|| probe_line!("t::p1"));
+        let universe: BTreeSet<&str> = both.sites().chain(one.sites()).collect();
+        assert_eq!(both.percent_of(&universe, ProbeKind::Line), 100.0);
+        assert_eq!(one.percent_of(&universe, ProbeKind::Line), 50.0);
+        assert_eq!(one.percent_of(&universe, ProbeKind::Branch), 0.0);
     }
 
     #[test]
-    fn delta_subtracts_hit_counts_and_drops_dead_sites() {
-        let _g = lock_tests();
-        reset();
-        record("t::d1", ProbeKind::Line, true);
-        record("t::d1", ProbeKind::Line, true);
-        let start = snapshot();
-        record("t::d1", ProbeKind::Line, true);
-        record("t::d2", ProbeKind::Function, true);
-        let end = snapshot();
-        let d = end.delta(&start);
-        assert_eq!(d.count_of_kind(ProbeKind::Line), 1);
-        assert_eq!(d.hits_of_kind(ProbeKind::Function), 1);
-        assert_eq!(start.union(&d), end, "delta inverts union");
-        assert!(end.delta(&end).is_empty());
-    }
-
-    #[test]
-    fn union_and_covers() {
-        let _g = lock_tests();
-        reset();
-        record("t::a", ProbeKind::Line, true);
-        let a = snapshot();
-        reset();
-        record("t::b", ProbeKind::Line, true);
-        let b = snapshot();
-        let u = a.union(&b);
-        assert_eq!(u.len(), 2);
-        assert!(u.covers(&a) && u.covers(&b));
-        assert!(!a.covers(&b));
+    fn brackets_are_per_thread_and_snapshot_is_process_wide() {
+        let local = measure(|| std::thread::spawn(|| probe_line!("t::elsewhere")).join().unwrap());
+        assert!(local.is_empty(), "another thread's hit landed in this thread's bracket");
+        assert!(snapshot().sites().any(|site| site == "coverage.line.t::elsewhere"));
     }
 }

@@ -10,7 +10,7 @@
 //! | [`prop`] | `proptest` | property harness with greedy shrinking |
 //! | [`json`] | `serde`/`serde_json` | hand-rolled JSON writer/reader |
 //! | [`pool`] | `crossbeam` | `std::thread` + `mpsc` fork/join pool, the campaign and regress executor |
-//! | [`metrics`] | `prometheus`-alikes | sharded counters/gauges/histograms |
+//! | [`metrics`] | `prometheus`-alikes | sharded counters/histograms |
 //! | [`trace`] | `tracing` | replay-safe spans + JSON-lines events |
 //! | [`profile`] | `pprof`-style viewers | span-tree profiles from trace files |
 //! | [`serve`] | `hyper` + exporters | HTTP status server with Prometheus exposition |

@@ -1,6 +1,6 @@
-//! Process-wide metrics registry: counters, gauges, and fixed-bucket
-//! histograms with thread-local aggregation, replacing `metrics`/`prometheus`
-//! style crates for campaign and solver telemetry.
+//! Process-wide metrics registry: counters and fixed-bucket histograms
+//! with thread-local aggregation, replacing `metrics`/`prometheus` style
+//! crates for campaign and solver telemetry.
 //!
 //! Design mirrors how [`crate::pool`] shards work across threads: every
 //! thread that records a metric gets its own *shard* (a small mutex-guarded
@@ -18,8 +18,10 @@
 //! * Histogram `min`/`max`/quantiles are derived from bucket bounds, never
 //!   from raw values, so merging or subtracting snapshots taken on
 //!   different threads cannot change them.
-//! * Gauges are last-write-wins and live in the global table; campaign
-//!   code only sets them from the single driver thread.
+//!
+//! There are no gauges: a last-write-wins value would not survive a merge
+//! of per-job deltas in job order. Instantaneous figures (such as the
+//! coverage site totals in campaign reports) are derived from counters.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -242,37 +244,31 @@ crate::impl_json_struct!(HistogramSummary { count, sum, min, max, p50, p95, p99 
 pub struct MetricsSnapshot {
     /// Monotonic event counts.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins instantaneous values.
-    pub gauges: BTreeMap<String, i64>,
     /// Sample distributions.
     pub histograms: BTreeMap<String, Histogram>,
 }
 
-crate::impl_json_struct!(MetricsSnapshot { counters, gauges, histograms });
+crate::impl_json_struct!(MetricsSnapshot { counters, histograms });
 
 impl MetricsSnapshot {
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
-    /// Folds `other` into `self`: counters and histograms add, gauges take
-    /// `other`'s value (last write wins).
+    /// Folds `other` into `self`: counters and histograms add.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
         }
         for (k, h) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().merge(h);
         }
     }
 
-    /// What happened between the earlier snapshot and `self`. Counters and
-    /// histograms subtract; gauges keep `self`'s values. Entries that end
-    /// up empty are dropped, so a no-op interval yields an empty snapshot.
+    /// What happened between the earlier snapshot and `self`: counters and
+    /// histograms subtract. Entries that end up empty are dropped, so a
+    /// no-op interval yields an empty snapshot.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
         for (k, v) in &self.counters {
@@ -281,7 +277,6 @@ impl MetricsSnapshot {
                 out.counters.insert(k.clone(), d);
             }
         }
-        out.gauges = self.gauges.clone();
         for (k, h) in &self.histograms {
             let d = match earlier.histograms.get(k) {
                 Some(e) => h.delta(e),
@@ -300,32 +295,15 @@ impl MetricsSnapshot {
     }
 }
 
-#[derive(Debug, Default)]
-struct ShardData {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl ShardData {
-    fn merge_into(&self, out: &mut MetricsSnapshot) {
-        for (k, v) in &self.counters {
-            *out.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &self.histograms {
-            out.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    }
-}
-
-type Shard = Arc<Mutex<ShardData>>;
+/// One thread's cumulative metrics.
+type Shard = Arc<Mutex<MetricsSnapshot>>;
 
 #[derive(Default)]
 struct Global {
     shards: Vec<Shard>,
     /// Accumulated data from threads that have exited (their shards are
     /// drained here so the process-wide totals survive thread churn).
-    retired: ShardData,
-    gauges: BTreeMap<String, i64>,
+    retired: MetricsSnapshot,
 }
 
 fn global() -> &'static Mutex<Global> {
@@ -343,12 +321,7 @@ impl Drop for ShardGuard {
     fn drop(&mut self) {
         let mut g = global().lock().expect("metrics global lock");
         let data = self.shard.lock().expect("metrics shard lock");
-        for (k, v) in &data.counters {
-            *g.retired.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &data.histograms {
-            g.retired.histograms.entry(k.clone()).or_default().merge(h);
-        }
+        g.retired.merge(&data);
         drop(data);
         g.shards.retain(|s| !Arc::ptr_eq(s, &self.shard));
     }
@@ -356,13 +329,13 @@ impl Drop for ShardGuard {
 
 thread_local! {
     static SHARD: ShardGuard = {
-        let shard: Shard = Arc::new(Mutex::new(ShardData::default()));
+        let shard: Shard = Arc::new(Mutex::new(MetricsSnapshot::default()));
         global().lock().expect("metrics global lock").shards.push(Arc::clone(&shard));
         ShardGuard { shard }
     };
 }
 
-fn with_shard<R>(f: impl FnOnce(&mut ShardData) -> R) -> R {
+fn with_shard<R>(f: impl FnOnce(&mut MetricsSnapshot) -> R) -> R {
     SHARD.with(|guard| f(&mut guard.shard.lock().expect("metrics shard lock")))
 }
 
@@ -388,11 +361,6 @@ pub fn histogram_record(name: &str, value: u64) {
     });
 }
 
-/// Sets the named gauge to `value` (global, last write wins).
-pub fn gauge_set(name: &str, value: i64) {
-    global().lock().expect("metrics global lock").gauges.insert(name.to_owned(), value);
-}
-
 /// This thread's cumulative value for the named counter. Pairs of reads
 /// around a call give an exact per-call delta because no other thread
 /// writes this shard.
@@ -400,37 +368,21 @@ pub fn local_counter(name: &str) -> u64 {
     with_shard(|s| *s.counters.get(name).unwrap_or(&0))
 }
 
-/// Snapshot of this thread's shard only (counters and histograms; gauges
-/// are global and excluded). Deltas of two local snapshots bracket exactly
-/// the work the thread did in between.
+/// Snapshot of this thread's shard only. Deltas of two local snapshots
+/// bracket exactly the work the thread did in between.
 pub fn local_snapshot() -> MetricsSnapshot {
-    let mut out = MetricsSnapshot::default();
-    with_shard(|s| s.merge_into(&mut out));
-    out
+    with_shard(|s| s.clone())
 }
 
-/// Process-wide snapshot: all live shards plus retired-thread totals plus
-/// gauges, merged non-destructively (recording continues unaffected).
+/// Process-wide snapshot: all live shards plus retired-thread totals,
+/// merged non-destructively (recording continues unaffected).
 pub fn snapshot() -> MetricsSnapshot {
     let g = global().lock().expect("metrics global lock");
-    let mut out = MetricsSnapshot::default();
-    g.retired.merge_into(&mut out);
+    let mut out = g.retired.clone();
     for shard in &g.shards {
-        shard.lock().expect("metrics shard lock").merge_into(&mut out);
+        out.merge(&shard.lock().expect("metrics shard lock"));
     }
-    out.gauges = g.gauges.clone();
     out
-}
-
-/// Clears every shard, the retired accumulator, and all gauges. Test-only
-/// in spirit; campaign code relies on deltas instead of resets.
-pub fn reset() {
-    let mut g = global().lock().expect("metrics global lock");
-    g.retired = ShardData::default();
-    g.gauges.clear();
-    for shard in &g.shards {
-        *shard.lock().expect("metrics shard lock") = ShardData::default();
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! Endpoints:
 //!
 //! * `GET /metrics` — Prometheus text exposition rendered live from
-//!   [`crate::metrics::snapshot`]: counters and gauges as-is, every
+//!   [`crate::metrics::snapshot`]: counters as-is, every
 //!   32-bucket histogram as a cumulative `_bucket{le="..."}` series
 //!   (base-2 bounds from [`crate::metrics::bucket_upper`], last bucket
 //!   `+Inf`) plus `_sum` and `_count`.
@@ -107,7 +107,7 @@ fn write_histogram_series(out: &mut String, name: &str, h: &Histogram) {
 }
 
 /// Renders a [`MetricsSnapshot`] in the Prometheus text exposition
-/// format (version 0.0.4): counters and gauges one sample each,
+/// format (version 0.0.4): counters one sample each,
 /// histograms as a cumulative `_bucket{le="..."}` series over the fixed
 /// base-2 bounds plus `_sum`/`_count`, every metric preceded by
 /// `# HELP`/`# TYPE` metadata. Iteration order is the snapshot's own
@@ -119,11 +119,6 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
     for (name, value) in &snapshot.counters {
         let prom = sanitize_metric_name(name);
         write_meta(&mut out, &prom, "counter", &format!("Registry counter `{name}`."));
-        let _ = writeln!(out, "{prom} {value}");
-    }
-    for (name, value) in &snapshot.gauges {
-        let prom = sanitize_metric_name(name);
-        write_meta(&mut out, &prom, "gauge", &format!("Registry gauge `{name}`."));
         let _ = writeln!(out, "{prom} {value}");
     }
     for (name, histogram) in &snapshot.histograms {
@@ -538,20 +533,26 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_render_with_type_lines() {
+    fn counters_render_with_type_lines() {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("fusion.attempts".into(), 42);
-        snap.gauges.insert("coverage.lines".into(), -3);
+        snap.counters.insert("coverage.branch.sat::unit_learnt/t".into(), 3);
         let text = render_prometheus(&snap);
         assert!(text.contains("# TYPE fusion_attempts counter\nfusion_attempts 42\n"), "{text}");
-        assert!(text.contains("# TYPE coverage_lines gauge\ncoverage_lines -3\n"), "{text}");
+        assert!(
+            text.contains(
+                "# TYPE coverage_branch_sat::unit_learnt_t counter\n\
+                 coverage_branch_sat::unit_learnt_t 3\n"
+            ),
+            "{text}"
+        );
     }
 
     #[test]
     fn every_type_line_is_preceded_by_a_help_line() {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("fusion.attempts".into(), 42);
-        snap.gauges.insert("coverage.lines".into(), -3);
+        snap.counters.insert("coverage.line.smt::unsat".into(), 3);
         snap.histograms.insert("span.solve".into(), Histogram::new());
         let text = render_prometheus(&snap);
         let lines: Vec<&str> = text.lines().collect();

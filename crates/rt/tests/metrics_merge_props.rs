@@ -4,18 +4,20 @@
 //! metrics delta. Split the jobs into parts by `index % parts`, merge
 //! each part's deltas in job order, then merge the part snapshots in part
 //! order: the result must equal the snapshot built by merging every job
-//! delta in global job order — every counter, every gauge, and every
-//! histogram bucket. So the merged telemetry does not depend on how the
-//! jobs are partitioned, which is what lets a driver merge jobs in any
-//! grouping, such as the rounds in flight of a round-barrier executor.
-//! Counters and histogram buckets are additive (order-free); gauges are
-//! last-write-wins and therefore only merge-order-safe when applied
-//! identically on both sides, which is how the campaign uses them (set
-//! once at the report boundary, never inside job deltas).
+//! delta in global job order — every counter (coverage probes included)
+//! and every histogram bucket. So the merged telemetry does not depend on
+//! how the jobs are partitioned, which is what lets a driver merge jobs
+//! in any grouping, such as the rounds in flight of a round-barrier
+//! executor.
 
 use yinyang_rt::{props, MetricsSnapshot, Rng, StdRng};
 
-const COUNTERS: &[&str] = &["tests.total", "solver.sat.decisions", "solver.simplex.pivots"];
+const COUNTERS: &[&str] = &[
+    "tests.total",
+    "solver.sat.decisions",
+    "solver.simplex.pivots",
+    "coverage.branch.sat::unit_learnt/t",
+];
 const HISTOGRAMS: &[&str] = &["span.solve", "span.fusion", "span.oracle"];
 
 /// One job's private metrics delta, as `run_test` would return it.
@@ -40,13 +42,6 @@ fn random_job_delta(rng: &mut StdRng) -> MetricsSnapshot {
     delta
 }
 
-/// Gauges are applied at the report boundary, identically on both sides;
-/// they must survive the merge unchanged.
-fn apply_report_gauges(snapshot: &mut MetricsSnapshot) {
-    snapshot.gauges.insert("coverage.lines.sites".to_owned(), 123);
-    snapshot.gauges.insert("coverage.branches.hits".to_owned(), -7);
-}
-
 fn merge_law_holds(seed: u64, jobs: usize, parts: usize) {
     let deltas: Vec<MetricsSnapshot> = {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -58,7 +53,6 @@ fn merge_law_holds(seed: u64, jobs: usize, parts: usize) {
     for delta in &deltas {
         sequential.merge(delta);
     }
-    apply_report_gauges(&mut sequential);
 
     // Partitioned: part k holds the jobs with index % parts == k and
     // merges them in job order; the part snapshots then merge in part
@@ -73,11 +67,10 @@ fn merge_law_holds(seed: u64, jobs: usize, parts: usize) {
         }
         partitioned.merge(&local);
     }
-    apply_report_gauges(&mut partitioned);
 
-    // Structural equality covers counters, gauges, and histogram
-    // count/sum; compare raw per-bucket counts explicitly as well so a
-    // bucket-level regression cannot hide behind matching totals.
+    // Structural equality covers counters and histogram count/sum;
+    // compare raw per-bucket counts explicitly as well so a bucket-level
+    // regression cannot hide behind matching totals.
     assert_eq!(sequential, partitioned, "seed {seed}, {jobs} jobs over {parts} parts");
     assert_eq!(
         sequential.histograms.keys().collect::<Vec<_>>(),

@@ -1,11 +1,13 @@
 //! Coverage instrumentation demo (RQ3 in miniature): solve a seed set, then
-//! fused tests, and show the probe-coverage delta that Fig. 11 tabulates.
+//! fused tests, and show the probe-coverage difference that Fig. 11
+//! tabulates.
 //!
 //! ```sh
 //! cargo run --release --example coverage_runs
 //! ```
 
-use yinyang::coverage::{reset, snapshot, universe, ProbeKind};
+use std::collections::BTreeSet;
+use yinyang::coverage::{measure, ProbeKind};
 use yinyang::fusion::Fuser;
 use yinyang::seedgen::{generate_pool, SeedGenerator};
 use yinyang::smtlib::Logic;
@@ -17,45 +19,42 @@ fn main() {
     let seeds = generate_pool(&mut rng, &generator, 10, 10);
     let solver = SmtSolver::new();
     let fuser = Fuser::new();
+    let solve_seeds = || {
+        for s in &seeds {
+            let _ = solver.solve_script(&s.script);
+        }
+    };
 
-    // Arm 1: benchmark seeds only.
-    reset();
-    for s in &seeds {
-        let _ = solver.solve_script(&s.script);
-    }
-    let bench = snapshot();
+    // Each arm counts only its own probe hits (two thread-local metrics
+    // snapshots around it). Arm 1: benchmark seeds only.
+    let bench = measure(solve_seeds);
 
     // Arm 2: seeds plus fused tests (the YinYang arm).
-    reset();
-    for s in &seeds {
-        let _ = solver.solve_script(&s.script);
-    }
-    for _ in 0..40 {
-        let i = yinyang_rt::Rng::random_range(&mut rng, 0..seeds.len());
-        let j = yinyang_rt::Rng::random_range(&mut rng, 0..seeds.len());
-        if seeds[i].oracle != seeds[j].oracle {
-            continue;
+    let yinyang = measure(|| {
+        solve_seeds();
+        for _ in 0..40 {
+            let i = yinyang_rt::Rng::random_range(&mut rng, 0..seeds.len());
+            let j = yinyang_rt::Rng::random_range(&mut rng, 0..seeds.len());
+            if seeds[i].oracle != seeds[j].oracle {
+                continue;
+            }
+            if let Ok(fused) =
+                fuser.fuse(&mut rng, seeds[i].oracle, &seeds[i].script, &seeds[j].script)
+            {
+                let _ = solver.solve_script(&fused.script);
+            }
         }
-        if let Ok(fused) = fuser.fuse(&mut rng, seeds[i].oracle, &seeds[i].script, &seeds[j].script)
-        {
-            let _ = solver.solve_script(&fused.script);
-        }
-    }
-    let yinyang = snapshot();
+    });
 
-    let uni = universe();
-    println!("QF_NRA coverage (percent of all probe sites seen by this process):");
+    let universe: BTreeSet<&str> = bench.sites().chain(yinyang.sites()).collect();
+    println!("QF_NRA coverage (percent of the probe sites either arm reached):");
     println!("{:<10} {:>10} {:>10}", "metric", "Benchmark", "YinYang");
-    for (label, kind) in [
-        ("lines", ProbeKind::Line),
-        ("functions", ProbeKind::Function),
-        ("branches", ProbeKind::Branch),
-    ] {
+    for kind in ProbeKind::ALL {
         println!(
             "{:<10} {:>9.1}% {:>9.1}%",
-            label,
-            bench.percent_of(&uni, kind),
-            yinyang.percent_of(&uni, kind)
+            kind.plural(),
+            bench.percent_of(&universe, kind),
+            yinyang.percent_of(&universe, kind)
         );
     }
     assert!(
